@@ -27,14 +27,21 @@ Result<ExplainResult> ExplainSession::Explain(const UserQuestion& question, bool
     return Status::InvalidArgument("ExplainSession has no pattern set");
   }
   if (state_->relation == nullptr) {
-    state_->relation = question.relation.get();
-  } else if (state_->relation != question.relation.get()) {
+    state_->relation = question.relation;
+    state_->relation_rows = question.relation->num_rows();
+  } else if (state_->relation != question.relation) {
     // The memoized γ tables are computed over the first question's
     // relation; serving a different table from them would be silently
     // wrong, so reject instead.
     return Status::InvalidArgument(
         "ExplainSession answers questions over one relation; open a new session "
         "for a different table");
+  } else if (state_->relation->num_rows() != state_->relation_rows) {
+    // Same table, grown in place (Engine::AppendAndRemine) since the memo
+    // was built: its γ tables miss the new rows while NORM would see them.
+    return Status::InvalidArgument(
+        "ExplainSession's relation changed size since its first question; open a "
+        "new session after an append");
   }
   CAPE_ASSIGN_OR_RETURN(ExplainResult result,
                         explain_internal::RunExplainWithState(question, *patterns_, distance_,

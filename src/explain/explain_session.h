@@ -20,20 +20,25 @@ struct SessionState;
 namespace cape {
 
 /// Answers a batch of user questions against one mined PatternSet,
-/// memoizing the question-independent work the one-shot Explain() path
-/// redoes per question: the γ_{attrs,agg} aggregate tables and the
-/// refinement adjacency (which patterns refine which). This is the online
-/// half of CAPE's offline/online split at serving granularity — mine once,
-/// open a session, answer many questions.
+/// memoizing question-independent work: the whole γ_{attrs,agg} aggregate
+/// tables, one per refinement attribute set, and the refinement adjacency
+/// (which patterns refine which). This is the online half of CAPE's
+/// offline/online split at serving granularity — mine once, open a session,
+/// answer many questions. A one-shot Engine::Explain() keeps neither: it
+/// computes each (P, P') pair's candidates with t'[F] = t[F] pushed below
+/// γ, which is cheaper for one question and dearer than a warm memo for
+/// many.
 ///
 /// Every answer is byte-identical to calling Engine::Explain() on the same
-/// question: the memoized structures only skip recomputation, never change
-/// the deterministic candidate order (DESIGN.md §11).
+/// question: the memoized γ tables hold a superset of the pushed-down
+/// groups, with the same aggregates in the same relative order, and the
+/// memo never changes the deterministic candidate order (DESIGN.md §11).
 ///
 /// All questions in one session must target the relation of the first
-/// question (the γ tables are per-relation). Not intended for concurrent
-/// Explain() calls on the same session; open one session per serving thread
-/// — they can all share one cached PatternSet.
+/// question, at the row count it had then (the γ tables are per-relation;
+/// after Engine::AppendAndRemine grows the table, open a new session). Not
+/// intended for concurrent Explain() calls on the same session; open one
+/// session per serving thread — they can all share one cached PatternSet.
 class ExplainSession {
  public:
   ExplainSession(std::shared_ptr<const PatternSet> patterns, DistanceModel distance,
@@ -46,7 +51,9 @@ class ExplainSession {
   ExplainSession& operator=(const ExplainSession&) = delete;
 
   /// Answers one question. `optimized` selects EXPL-GEN-OPT over
-  /// EXPL-GEN-NAIVE, exactly as in Engine::Explain.
+  /// EXPL-GEN-NAIVE, exactly as in Engine::Explain. InvalidArgument when the
+  /// question targets another relation than the first question did, or the
+  /// same relation after its row count changed.
   Result<ExplainResult> Explain(const UserQuestion& question, bool optimized = true);
 
   /// Answers questions in order; fails fast on the first error.

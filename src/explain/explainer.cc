@@ -143,24 +143,25 @@ std::vector<const GlobalPattern*> FindRelevantPatterns(const UserQuestion& q,
   return out;
 }
 
+/// σ_{S = t[S]} for S ⊆ G, as equality conditions on R's columns.
+std::vector<std::pair<int, Value>> QuestionConditions(const UserQuestion& q, AttrSet s) {
+  std::vector<std::pair<int, Value>> conditions;
+  const std::vector<int> cols = s.ToIndices();
+  const Row values = q.ProjectGroupValues(s);
+  for (size_t i = 0; i < cols.size(); ++i) conditions.emplace_back(cols[i], values[i]);
+  return conditions;
+}
+
 /// NORM of Definition 10: the question's own aggregate at the relevant
 /// pattern's granularity, π_{agg(A)}(σ_{F=t[F] ∧ V=t[V]}(γ_{F∪V,agg(A)}(R))).
 Result<double> ComputeNorm(const UserQuestion& q, const Pattern& p, StopToken* stop) {
   CAPE_FAILPOINT("explain.norm");
-  std::vector<std::pair<int, Value>> conditions;
-  const std::vector<int> gp_attrs = p.GroupAttrs().ToIndices();
-  const Row gp_values = q.ProjectGroupValues(p.GroupAttrs());
-  for (size_t i = 0; i < gp_attrs.size(); ++i) {
-    conditions.emplace_back(gp_attrs[i], gp_values[i]);
-  }
-  AggregateSpec spec;
-  spec.func = p.agg;
-  spec.input_col = p.agg_attr;
-  spec.output_name = "agg";
+  const AggregateSpec spec{p.agg, p.agg_attr, "agg"};
   // Fused σ→γ over the whole relation: one block scan, no filtered table.
-  CAPE_ASSIGN_OR_RETURN(TablePtr aggregated,
-                        FilterGroupAggregate(*q.relation, conditions,
-                                             std::vector<int>{}, {spec}, stop));
+  CAPE_ASSIGN_OR_RETURN(
+      TablePtr aggregated,
+      FilterGroupAggregate(*q.relation, QuestionConditions(q, p.GroupAttrs()),
+                           std::vector<int>{}, {spec}, stop));
   const Value v = aggregated->GetValue(0, 0);
   return v.is_null() ? 0.0 : v.AsDouble();
 }
@@ -200,6 +201,15 @@ struct PairTask {
 /// comparison is strict: a fragment that could still *tie* the k-th best
 /// score is always scanned, which is what makes the pruned set — and hence
 /// the final top-k — independent of thread count and timing.
+///
+/// The candidates come from the whole γ_{F'∪V,agg(A)}(R) in `cache`, masked
+/// to t'[F] = t[F]; or, when `cache` is null, from the fused
+/// FilterGroupAggregate(R, F = t[F], F' ∪ V, agg(A)), which pushes that
+/// selection below γ. The pushed-down table holds exactly the F-matching
+/// groups of the whole γ, in the same relative order and summed over the
+/// same rows in the same order, so both sources score the same candidates
+/// bit-for-bit. Row indices differ between them, but a tuple occurs at most
+/// once per pair, so the row part of a CandidateRank never decides a tie.
 Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
                     const GlobalPattern& refinement, double norm,
                     const DistanceModel& distance_model, const ExplainConfig& config,
@@ -210,21 +220,36 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   const Pattern& p = relevant.pattern;
   const Pattern& pp = refinement.pattern;
   const AttrSet attrs = pp.GroupAttrs();  // F' ∪ V
-  CAPE_ASSIGN_OR_RETURN(TablePtr data, cache->Get(attrs, pp.agg, pp.agg_attr, stop));
-
   const std::vector<int> attr_list = attrs.ToIndices();
+
+  // Condition (4), t'[F] = t[F], as conditions on `data`'s columns: empty
+  // when the selection is pushed below γ, since every group then passes.
+  std::vector<std::pair<int, Value>> f_conditions;
+  TablePtr data;
+  if (cache != nullptr) {
+    CAPE_ASSIGN_OR_RETURN(data, cache->Get(attrs, pp.agg, pp.agg_attr, stop));
+    f_conditions = QuestionConditions(q, p.partition_attrs);
+    for (auto& condition : f_conditions) {  // R's column -> γ's; F ⊆ F' ∪ V
+      const int col = condition.first;
+      condition.first = static_cast<int>(
+          std::lower_bound(attr_list.begin(), attr_list.end(), col) - attr_list.begin());
+    }
+  } else {
+    const AggregateSpec spec{pp.agg, pp.agg_attr, "agg"};
+    CAPE_ASSIGN_OR_RETURN(
+        data, FilterGroupAggregate(*q.relation, QuestionConditions(q, p.partition_attrs),
+                                   attr_list, {spec}, stop));
+  }
+
   const int agg_col = static_cast<int>(attr_list.size());
-  std::vector<int> f_positions;        // P.F inside attr_list
   std::vector<int> f_prime_positions;  // P'.F' inside attr_list
   std::vector<int> v_positions;        // V inside attr_list
   for (size_t i = 0; i < attr_list.size(); ++i) {
-    if (p.partition_attrs.Contains(attr_list[i])) f_positions.push_back(static_cast<int>(i));
     if (pp.partition_attrs.Contains(attr_list[i])) {
       f_prime_positions.push_back(static_cast<int>(i));
     }
     if (pp.predictor_attrs.Contains(attr_list[i])) v_positions.push_back(static_cast<int>(i));
   }
-  const Row t_f = q.ProjectGroupValues(p.partition_attrs);
   const bool same_schema = attrs == q.group_attrs;
   const double isLow = q.dir == Direction::kLow ? 1.0 : -1.0;
   const double norm_denominator = std::fabs(norm) + config.epsilon;
@@ -233,11 +258,6 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   // Condition (4) matchers, compiled once per (P, P') pair: string condition
   // values translate to dictionary codes here, so the per-row checks below
   // are integer compares instead of boxed Value comparisons.
-  std::vector<std::pair<int, Value>> f_conditions;
-  f_conditions.reserve(f_positions.size());
-  for (size_t i = 0; i < f_positions.size(); ++i) {
-    f_conditions.emplace_back(f_positions[i], t_f[i]);
-  }
   const RowEqualityMatcher f_matcher(*data, f_conditions);
   if (f_matcher.never_matches()) return Status::OK();  // no tuple has t'[F] = t[F]
 
@@ -359,18 +379,15 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
   ExplainResult result;
   Stopwatch total;
   StopToken stop = config.MakeStopToken();
-  // One-shot calls build the γ cache per request; a session keeps one alive
-  // across its batch (the tables depend only on the relation).
-  std::unique_ptr<AggDataCache> local_cache;
+  // Where each pair's candidates come from (EvaluatePair): a session's
+  // memo of whole γ tables, or, for a one-shot call, no cache at all, each
+  // pair pushing t'[F] = t[F] below γ.
   AggDataCache* cache = nullptr;
   if (state != nullptr) {
     if (state->agg_cache == nullptr) {
-      state->agg_cache = std::make_unique<AggDataCache>(*q.relation);
+      state->agg_cache = std::make_unique<AggDataCache>(q.relation);
     }
     cache = state->agg_cache.get();
-  } else {
-    local_cache = std::make_unique<AggDataCache>(*q.relation);
-    cache = local_cache.get();
   }
   const bool prune_pairs = optimized && config.prune_pairs;
   const bool prune_locals = optimized && config.prune_locals;

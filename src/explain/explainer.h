@@ -67,7 +67,11 @@ struct ExplainProfile {
   int64_t num_relevant_patterns = 0;
   int64_t num_refinement_pairs = 0;   // (P, P') combinations considered
   int64_t num_pairs_pruned = 0;       // pairs skipped via the score bound
-  int64_t num_tuples_checked = 0;     // candidate t' examined
+  /// Candidate t' examined: rows of the (P, P') candidate tables scanned.
+  /// A one-shot call pushes t'[F] = t[F] below γ, so there it counts only
+  /// the F-matching groups; a session scans whole γ tables and counts
+  /// every group (DESIGN.md §9).
+  int64_t num_tuples_checked = 0;
   int64_t num_candidates = 0;         // candidates passing Definition 7
 };
 

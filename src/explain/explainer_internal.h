@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -16,17 +17,19 @@
 
 namespace cape::explain_internal {
 
-/// Caches γ_{attrs, agg(A)}(R) tables shared by every (P, P') pair whose
-/// refinement has the same attribute set. Thread-safe: concurrent workers
-/// requesting the same key serialize on that entry (one computes, the rest
-/// reuse), while distinct keys compute in parallel. The tables depend only
-/// on the relation — never on the user question — so an ExplainSession
-/// keeps one instance alive across its whole batch.
+/// Caches whole γ_{attrs, agg(A)}(R) tables, one per refinement attribute
+/// set F' ∪ V, shared by every (P, P') pair whose refinement has that set.
+/// Only an ExplainSession keeps one, across its batch: the tables depend
+/// only on the relation, never on the question. A one-shot call keeps
+/// none; it pushes t'[F] = t[F] below γ per pair instead (DESIGN.md §9).
+///
+/// Thread-safe: concurrent workers requesting the same key serialize on
+/// that entry (one computes, the rest reuse), while distinct keys compute
+/// in parallel. Shares ownership of the relation, which therefore outlives
+/// the cache.
 class AggDataCache {
  public:
-  explicit AggDataCache(const Table& relation) : relation_(relation) {}
-
-  const Table& relation() const { return relation_; }
+  explicit AggDataCache(TablePtr relation) : relation_(std::move(relation)) {}
 
   Result<TablePtr> Get(AttrSet attrs, AggFunc agg, int agg_attr, StopToken* stop)
       CAPE_EXCLUDES(mu_) {
@@ -49,7 +52,7 @@ class AggDataCache {
     // A failed computation (deadline mid-aggregation) is not cached: the
     // run is ending anyway, and a later retry must not see a poisoned slot.
     CAPE_ASSIGN_OR_RETURN(TablePtr data,
-                          GroupByAggregate(relation_, attrs.ToIndices(), {spec}, stop));
+                          GroupByAggregate(*relation_, attrs.ToIndices(), {spec}, stop));
     entry->table = data;
     return data;
   }
@@ -65,7 +68,7 @@ class AggDataCache {
     TablePtr table CAPE_GUARDED_BY(mu);
   };
 
-  const Table& relation_;
+  const TablePtr relation_;
   mutable Mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Entry>> cache_ CAPE_GUARDED_BY(mu_);
 };
@@ -78,9 +81,12 @@ class AggDataCache {
 /// pair-list order, so session answers are byte-identical to one-shot
 /// Explain() calls.
 struct SessionState {
-  /// Relation the session is bound to (the first question's); later
-  /// questions must target the same table.
-  const Table* relation = nullptr;
+  /// Relation the session is bound to (the first question's) and its row
+  /// count at that point. Later questions must target the same table at
+  /// the same size: the memoized γ tables cover exactly those rows, and
+  /// Engine::AppendAndRemine grows the table in place.
+  TablePtr relation;
+  int64_t relation_rows = 0;
   std::unique_ptr<AggDataCache> agg_cache;
   bool adjacency_built = false;
   std::vector<std::vector<int64_t>> refinements;

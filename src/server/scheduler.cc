@@ -193,12 +193,15 @@ void RequestScheduler::RunOne() {
 
   if (IsAppendStatement(pending.request.statement)) {
     AcquireWriteGate();
+    const int64_t rows_before = engine_->table()->num_rows();
     Response response = ExecuteAppend(pending);
-    if (response.outcome == Outcome::kOk) {
-      // The append replaced the engine's pattern set; pooled sessions hold a
-      // snapshot of the old one. Drop them so later requests explain against
-      // the upgraded patterns. (No session is outstanding: sessions are only
-      // held under the read gate, which the write gate excludes.)
+    if (engine_->table()->num_rows() != rows_before) {
+      // Rows went in, even when maintenance was cut short or its fallback
+      // failed. Pooled sessions hold the old pattern set and γ memos over
+      // fewer rows, and would reject every question from now on. Drop them
+      // so later requests explain against the grown table. (No session is
+      // outstanding: sessions are only held under the read gate, which the
+      // write gate excludes.)
       MutexLock lock(mu_);
       free_sessions_.clear();
     }

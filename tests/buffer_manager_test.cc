@@ -25,16 +25,15 @@
 #include "storage/buffer_manager.h"
 #include "storage/heap_file.h"
 #include "storage/paged_table.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
 
-std::string TempPath(const std::string& name) { return ::testing::TempDir() + name; }
-
 /// Removes a temp heap file at scope exit so repeated runs stay clean.
 class TempFile {
  public:
-  explicit TempFile(std::string name) : path_(TempPath(std::move(name))) {}
+  explicit TempFile(const std::string& name) : path_(TestTempPath(name)) {}
   ~TempFile() { std::remove(path_.c_str()); }
   const std::string& path() const { return path_; }
 

@@ -1,8 +1,9 @@
 // ExplainSession (DESIGN.md §11): batch serving over one pattern set with
 // memoized question-independent work. The contract under test is byte
 // equality — every session answer must match the one-shot Engine::Explain()
-// on the same question, because the memoized γ tables and refinement
-// adjacency only skip recomputation, never change candidate order.
+// on the same question. The session masks memoized whole γ tables to
+// t'[F] = t[F], the one-shot call pushes that selection below γ, and both
+// must score the same candidates in the same order.
 
 #include <gtest/gtest.h>
 
@@ -166,6 +167,34 @@ TEST(ExplainSessionTest, RejectsQuestionsOverADifferentRelation) {
   EXPECT_FALSE(served.ok());
   EXPECT_TRUE(served.status().IsInvalidArgument());
   EXPECT_EQ(session->questions_answered(), 1);  // the rejection did not count
+}
+
+TEST(ExplainSessionTest, RejectsQuestionsAfterTheRelationGrows) {
+  Engine engine = MakeEngine();
+  ASSERT_TRUE(engine.MinePatterns().ok());
+  const std::vector<UserQuestion> questions = MakeQuestions(engine);
+
+  auto session = engine.MakeExplainSession();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->Explain(questions[0]).ok());  // builds the γ memo
+
+  // AppendAndRemine grows the same Table in place: the memoized γ tables
+  // miss the new rows, so the session must refuse rather than mix them
+  // with NORM values computed over the grown relation.
+  ASSERT_TRUE(engine.AppendAndRemine({engine.table()->GetRow(0)}).ok());
+  auto served = session->Explain(questions[0]);
+  EXPECT_FALSE(served.ok());
+  EXPECT_TRUE(served.status().IsInvalidArgument()) << served.status().ToString();
+  EXPECT_EQ(session->questions_answered(), 1);
+
+  // A session opened after the append answers as a one-shot call does.
+  auto fresh = engine.MakeExplainSession();
+  ASSERT_TRUE(fresh.ok());
+  auto reanswered = fresh->Explain(questions[0]);
+  auto one_shot = engine.Explain(questions[0]);
+  ASSERT_TRUE(reanswered.ok()) << reanswered.status().ToString();
+  ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+  ExpectSameResult(*reanswered, *one_shot, "after append");
 }
 
 TEST(ExplainSessionTest, CancelledBatchLeavesSessionReusable) {

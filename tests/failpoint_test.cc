@@ -20,6 +20,7 @@
 #include "sql/executor.h"
 #include "storage/heap_file.h"
 #include "storage/paged_table.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -198,12 +199,12 @@ PipelineFixture MakeFixture() {
   auto select = ParseSelect("SELECT venue, count(*) FROM pub GROUP BY venue;");
   EXPECT_TRUE(select.ok());
 
-  const std::string csv_path = ::testing::TempDir() + "cape_failpoint.csv";
+  const std::string csv_path = TestTempPath("failpoint.csv");
   {
     std::ofstream out(csv_path);
     out << "a,b\n1,x\n2,y\n";
   }
-  const std::string patterns_path = ::testing::TempDir() + "cape_failpoint.patterns";
+  const std::string patterns_path = TestTempPath("failpoint.patterns");
   EXPECT_TRUE(e.SavePatterns(patterns_path).ok());
 
   return PipelineFixture{*table,
@@ -233,7 +234,7 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
   }
   if (site == "sql.execute") return ExecuteSelect(fx.catalog, fx.select).status();
   if (site == "pattern_io.save") {
-    return fx.engine.SavePatterns(::testing::TempDir() + "cape_failpoint_out.patterns");
+    return fx.engine.SavePatterns(TestTempPath("failpoint_out.patterns"));
   }
   if (site == "pattern_io.load") return fx.engine.LoadPatterns(fx.patterns_path);
   if (site == "engine.cache_admit") {
@@ -247,13 +248,13 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
     PatternCache cache(/*byte_budget=*/1ull << 26);
     cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
                  fx.engine.shared_patterns(), fx.table->schema());
-    return cache.SaveToDirectory(::testing::TempDir() + "cape_failpoint_cache_out");
+    return cache.SaveToDirectory(TestTempPath("failpoint_cache_out"));
   }
   if (site == "pattern_cache.load_entry") {
     PatternCache cache(/*byte_budget=*/1ull << 26);
     cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
                  fx.engine.shared_patterns(), fx.table->schema());
-    const std::string dir = ::testing::TempDir() + "cape_failpoint_cache_load";
+    const std::string dir = TestTempPath("failpoint_cache_load");
     CAPE_RETURN_IF_ERROR(cache.SaveToDirectory(dir));
     PatternCache fresh(/*byte_budget=*/1ull << 26);
     return fresh.LoadFromDirectory(dir, *fx.table->schema(), fx.table->Fingerprint())
@@ -273,7 +274,7 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
     return fx.engine.AppendAndRemine({fx.table->GetRow(0)});
   }
   if (site == "storage.page_read") {
-    const std::string path = ::testing::TempDir() + "cape_failpoint_heap.cape";
+    const std::string path = TestTempPath("failpoint_heap.cape");
     CAPE_RETURN_IF_ERROR(WriteTableToHeapFile(*fx.table, path));
     // Open touches only the preamble/trailer; the page-read site fires on
     // the first scan, which must surface it as a clean Status.
@@ -324,7 +325,7 @@ TEST(FailpointTest, FaultedMiningLeavesEnginePatternsIntact) {
 
 TEST(FailpointTest, FaultedSaveDoesNotCreateTheFile) {
   PipelineFixture fx = MakeFixture();
-  const std::string path = ::testing::TempDir() + "cape_failpoint_never_written.patterns";
+  const std::string path = TestTempPath("failpoint_never_written.patterns");
   std::remove(path.c_str());
 
   failpoint::ScopedFailpoint fp("pattern_io.save");
@@ -375,7 +376,7 @@ TEST(FailpointTest, LookupRaceDegradesToMiss) {
 
 TEST(FailpointTest, PoisonedDiskEntryDegradesToColdMine) {
   PipelineFixture fx = MakeFixture();
-  const std::string dir = ::testing::TempDir() + "cape_failpoint_poisoned_store";
+  const std::string dir = TestTempPath("failpoint_poisoned_store");
 
   // Persist a valid cache snapshot for this table.
   {

@@ -22,6 +22,7 @@
 #include "pattern/pattern_io.h"
 #include "storage/heap_file.h"
 #include "storage/paged_table.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -187,7 +188,7 @@ TEST(IncrementalTest, UnsupportedConfigsRejectedAtBuild) {
 
 TEST(IncrementalTest, PagedTablesRejectedAtBuild) {
   TablePtr table = MakeTable(500);
-  const std::string path = ::testing::TempDir() + "cape_incremental_paged.cape";
+  const std::string path = TestTempPath("incremental_paged.cape");
   ASSERT_TRUE(WriteTableToHeapFile(*table, path).ok());
   auto paged = OpenPagedTable(path, /*budget_bytes=*/1 << 20);
   ASSERT_TRUE(paged.ok());

@@ -11,6 +11,10 @@
 //     in-memory arrays, on every table, under every kernel-toggle
 //     combination and thread count (the PagedRandomEquivalenceTest suite;
 //     sanitizer CI selects it with `ctest -R Paged`).
+//  4. One-shot explanation with t'[F] = t[F] pushed below γ and an
+//     ExplainSession over whole γ tables, each over the resident table and
+//     over its paged copy, return byte-identical top-k answers at any
+//     thread count.
 //
 // Every test is parameterized over a fixed seed list, so each seed is its
 // own ctest entry and a failure names the reproducing seed directly. The
@@ -20,6 +24,7 @@
 
 #include <cstdio>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +32,7 @@
 #include "core/engine.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
+#include "pattern/pattern_set.h"
 #include "relational/csv.h"
 #include "relational/kernels.h"
 #include "relational/operators.h"
@@ -34,6 +40,7 @@
 #include "relational/table.h"
 #include "storage/heap_file.h"
 #include "storage/paged_table.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -340,7 +347,7 @@ struct PagedFixture {
 PagedFixture MakePagedFixture(uint64_t seed) {
   PagedFixture fx;
   fx.resident = MakeLargeRandomTable(seed);
-  fx.path = ::testing::TempDir() + "cape_paged_equiv_" + std::to_string(seed) + ".cape";
+  fx.path = TestTempPath("paged_equiv_" + std::to_string(seed) + ".cape");
   EXPECT_TRUE(WriteTableToHeapFile(*fx.resident, fx.path, /*rows_per_page=*/2048).ok());
   auto opened = OpenPagedTable(fx.path, /*budget_bytes=*/1 << 17);
   EXPECT_TRUE(opened.ok()) << opened.status().ToString();
@@ -452,7 +459,7 @@ TEST_P(PagedRandomEquivalenceTest, ResidentAttachTogglesBetweenIdenticalScans) {
   // over identical data, and every output byte matches.
   TablePtr table = MakeLargeRandomTable(GetParam());
   const std::string path =
-      ::testing::TempDir() + "cape_paged_attach_" + std::to_string(GetParam()) + ".cape";
+      TestTempPath("paged_attach_" + std::to_string(GetParam()) + ".cape");
   ASSERT_TRUE(WriteTableToHeapFile(*table, path, /*rows_per_page=*/2048).ok());
   ASSERT_TRUE(AttachHeapFile(*table, path, /*budget_bytes=*/1 << 17).ok());
 
@@ -628,8 +635,8 @@ TEST_P(IncrementalVsScratchTest, MaintainedSetMatchesScratchMineOfPagedTwin) {
   // Spill the grown table to a heap file and scratch-mine the non-resident
   // twin: incremental maintenance on resident arrays must land on the same
   // bytes as a cold out-of-core mine of the same content.
-  const std::string path = ::testing::TempDir() + "cape_incr_paged_" +
-                           std::to_string(GetParam()) + ".cape";
+  const std::string path =
+      TestTempPath("incr_paged_" + std::to_string(GetParam()) + ".cape");
   ASSERT_TRUE(WriteTableToHeapFile(*grown->table(), path, /*rows_per_page=*/2048).ok());
   auto paged = OpenPagedTable(path, /*budget_bytes=*/1 << 17);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
@@ -692,6 +699,173 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalVsScratchTest,
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Candidate-table sources agree (DESIGN.md §9).
+//
+// One-shot Engine::Explain pushes t'[F] = t[F] below γ for every (P, P')
+// pair; an ExplainSession masks whole shared γ tables instead. Both, over
+// the resident table and over its page-backed copy (whose kernels are the
+// paged twins), must return the same top-k bytes at 1, 2, 4 and 8 threads,
+// including on questions about NULL groups and questions that give the
+// int64 attribute a double value (the cross-type equality the pushed-down
+// filter applies).
+// ---------------------------------------------------------------------------
+
+/// Every field of an answer, doubles as exact hex floats, so two answers
+/// render equal only when they are byte-identical.
+std::string AnswerBytes(const ExplainResult& result, const Schema& schema) {
+  std::string out;
+  char buf[48];
+  auto append_double = [&](double d) {
+    std::snprintf(buf, sizeof(buf), " %a", d);
+    out += buf;
+  };
+  for (const Explanation& e : result.explanations) {
+    out += e.relevant_pattern.ToString(schema) + " / " +
+           e.refinement_pattern.ToString(schema) + " /";
+    for (const Value& v : e.tuple_values) {
+      if (v.is_null()) {
+        out += " NULL";
+      } else if (v.type() == DataType::kString) {
+        out += " '" + v.string_value() + "'";
+      } else if (v.type() == DataType::kInt64) {
+        out += " i" + std::to_string(v.int64_value());
+      } else {
+        append_double(v.double_value());
+      }
+    }
+    for (double d : {e.agg_value, e.predicted, e.deviation, e.distance, e.norm, e.score}) {
+      append_double(d);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+/// A question's group-by columns (MakeRandomTable indices) and aggregate.
+struct QuestionShape {
+  std::vector<int> group_by;
+  AggFunc agg;
+  std::string agg_attr;
+};
+
+/// (names, values) of the first three distinct groups over `group_by` that
+/// hold a NULL and of the first three that hold none, in row order. An
+/// int64 value is given as a double.
+std::vector<std::pair<std::vector<std::string>, std::vector<Value>>> QuestionGroups(
+    const Table& table, const std::vector<int>& group_by) {
+  constexpr int kPerKind = 3;
+  std::vector<std::pair<std::vector<std::string>, std::vector<Value>>> out;
+  std::vector<std::string> names;
+  for (int c : group_by) names.push_back(table.schema()->field(c).name);
+  std::set<std::string> seen;
+  int with_null = 0;
+  int without_null = 0;
+  for (int64_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<Value> values;
+    bool any_null = false;
+    for (int c : group_by) {
+      Value v = table.GetValue(r, c);
+      any_null = any_null || v.is_null();
+      if (!v.is_null() && v.type() == DataType::kInt64) {
+        v = Value::Double(static_cast<double>(v.int64_value()));
+      }
+      values.push_back(std::move(v));
+    }
+    int& taken = any_null ? with_null : without_null;
+    if (taken == kPerKind || !seen.insert(EncodeRowKey(values)).second) continue;
+    ++taken;
+    out.emplace_back(names, std::move(values));
+  }
+  return out;
+}
+
+TEST_P(RandomEquivalenceTest, OneShotSessionAndPagedExplainAgree) {
+  TablePtr table = MakeRandomTable(GetParam());
+  auto resident = Engine::FromTable(table);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  resident->mining_config() = OracleMiningConfig(3);
+  ASSERT_TRUE(resident->MinePatterns("ARP-MINE").ok());
+
+  const std::string path = TestTempPath("explain_" + std::to_string(GetParam()) + ".cape");
+  ASSERT_TRUE(WriteTableToHeapFile(*table, path, /*rows_per_page=*/2048).ok());
+  auto opened = OpenPagedTable(path, /*budget_bytes=*/1 << 17);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto paged = Engine::FromTable(*opened);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  paged->SetPatterns(resident->patterns());
+
+  const std::vector<QuestionShape> shapes = {
+      {{0, 1}, AggFunc::kCount, "*"},
+      {{0, 2}, AggFunc::kCount, "*"},
+      {{1, 2}, AggFunc::kSum, "val"},
+      {{0, 1, 2}, AggFunc::kSum, "val"},
+  };
+  std::vector<UserQuestion> questions;
+  std::vector<UserQuestion> paged_questions;
+  for (const QuestionShape& shape : shapes) {
+    for (const auto& [names, values] : QuestionGroups(*table, shape.group_by)) {
+      for (Direction dir : {Direction::kLow, Direction::kHigh}) {
+        auto q = resident->MakeQuestion(names, values, shape.agg, shape.agg_attr, dir);
+        auto pq = paged->MakeQuestion(names, values, shape.agg, shape.agg_attr, dir);
+        ASSERT_EQ(q.status().ToString(), pq.status().ToString());
+        if (!q.ok()) {
+          // sum(val) of a group whose val cells are all NULL has no answer.
+          ASSERT_TRUE(q.status().IsNotFound()) << q.status().ToString();
+          continue;
+        }
+        questions.push_back(std::move(*q));
+        paged_questions.push_back(std::move(*pq));
+      }
+    }
+  }
+
+  const Schema& schema = resident->schema();
+  std::vector<std::string> want;
+  int64_t answered = 0;
+  int64_t pushed_tuples = 0;
+  int64_t shared_tuples = 0;
+  for (int threads : {1, 2, 4, 8}) {
+    resident->set_num_threads(threads);
+    paged->set_num_threads(threads);
+    auto session = resident->MakeExplainSession();
+    auto paged_session = paged->MakeExplainSession();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(paged_session.ok()) << paged_session.status().ToString();
+    for (size_t i = 0; i < questions.size(); ++i) {
+      const std::string context = "seed " + std::to_string(GetParam()) + " threads " +
+                                  std::to_string(threads) + " " + questions[i].ToString();
+      auto one_shot = resident->Explain(questions[i]);
+      auto served = session->Explain(questions[i]);
+      auto from_pages = paged->Explain(paged_questions[i]);
+      auto served_from_pages = paged_session->Explain(paged_questions[i]);
+      ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ASSERT_TRUE(from_pages.ok()) << from_pages.status().ToString();
+      ASSERT_TRUE(served_from_pages.ok()) << served_from_pages.status().ToString();
+      const std::string bytes = AnswerBytes(*one_shot, schema);
+      if (threads == 1) {
+        want.push_back(bytes);
+        answered += one_shot->explanations.empty() ? 0 : 1;
+        // Same pairs in the same order at one thread, so the pushed-down
+        // path checks only the F-matching subset of the shared γ rows.
+        EXPECT_LE(one_shot->profile.num_tuples_checked, served->profile.num_tuples_checked)
+            << context;
+        pushed_tuples += one_shot->profile.num_tuples_checked;
+        shared_tuples += served->profile.num_tuples_checked;
+      }
+      EXPECT_EQ(bytes, want[i]) << context << " (one-shot vs one thread)";
+      EXPECT_EQ(AnswerBytes(*served, schema), want[i]) << context << " (session)";
+      EXPECT_EQ(AnswerBytes(*from_pages, schema), want[i]) << context << " (paged)";
+      EXPECT_EQ(AnswerBytes(*served_from_pages, schema), want[i])
+          << context << " (paged session)";
+    }
+  }
+  EXPECT_GT(answered, 0) << "no question had an explanation; the check is vacuous";
+  EXPECT_LT(pushed_tuples, shared_tuples) << "the one-shot path did not push t'[F] below γ";
+  std::remove(path.c_str());
+}
 
 }  // namespace
 }  // namespace cape

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/mutex.h"
 #include "core/engine.h"
 #include "datagen/dblp.h"
@@ -437,6 +438,31 @@ TEST_F(ServerTest, AppendGrowsTableAndRevalidatesPatterns) {
   Response select = harness.Call("SELECT author, venue FROM pub");
   EXPECT_EQ(select.outcome, Outcome::kOk);
   EXPECT_EQ(harness.Call(PlantedExplainLine("[id=2]")).outcome, Outcome::kOk);
+}
+
+TEST_F(ServerTest, TruncatedAppendStillDropsPooledSessions) {
+  Engine engine = MakeAppendEngine();
+  const int64_t before = engine.table()->num_rows();
+  ServerOptions options;
+  options.num_workers = 1;
+  options.mutable_engine = &engine;
+  ServerHarness harness(&engine, options);
+  // Pools a session whose γ memo covers the table as it is now.
+  ASSERT_EQ(harness.Call(PlantedExplainLine("[id=1]")).outcome, Outcome::kOk);
+
+  // A cancelled maintenance run: the row lands, the patterns stay stale,
+  // and the outcome is truncated rather than ok.
+  CancellationSource source;
+  engine.mining_config().cancel_token = source.token();
+  source.RequestCancel();
+  Response truncated = harness.Call("[id=2] APPEND NewAuthor,P90001,2007,SIGKDD");
+  EXPECT_EQ(truncated.outcome, Outcome::kTruncated) << truncated.error;
+  EXPECT_EQ(engine.table()->num_rows(), before + 1);
+
+  // The pooled session predates the append and would refuse the grown
+  // table; the scheduler must have replaced it.
+  Response explained = harness.Call(PlantedExplainLine("[id=3]"));
+  EXPECT_EQ(explained.outcome, Outcome::kOk) << explained.error;
 }
 
 TEST_F(ServerTest, AppendRejectedWhenServerIsReadOnly) {

@@ -1,0 +1,37 @@
+#ifndef CAPE_TESTS_TEST_UTIL_H_
+#define CAPE_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <string>
+
+namespace cape {
+
+/// A file path under ::testing::TempDir() that belongs to the running test
+/// case alone. ctest runs every discovered case as its own process, in
+/// parallel, and all of them share TempDir(), so a fixed file name there
+/// lets two cases overwrite each other's files. The path carries the case's
+/// suite and test name; `name` tells one case's files apart. Re-running a
+/// case reuses its paths, so repeated runs leave no growing pile behind.
+inline std::string TestTempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string tag = info == nullptr
+                        ? std::string("no_test")
+                        : std::string(info->test_suite_name()) + "." + info->name();
+  // Parameterized names carry '/' ("FixedSeeds/Suite.Case/seed7").
+  for (char& c : tag) {
+    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.' && c != '-') c = '_';
+  }
+  std::string path = ::testing::TempDir();
+  path += "cape_";
+  path += tag;
+  path += "_";
+  path += name;
+  return path;
+}
+
+}  // namespace cape
+
+#endif  // CAPE_TESTS_TEST_UTIL_H_

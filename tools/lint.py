@@ -36,6 +36,12 @@ types (DESIGN.md §12). Rules:
                       storage.page_read failpoint, and the page-cache budget
                       cannot be bypassed (DESIGN.md §15). Socket IO
                       (::read/::write/::close) and iostreams stay legal.
+  fixed-temp-path     No `TempDir() + "literal"` path. ctest runs every test
+                      case as its own process, in parallel, and all of them
+                      share ::testing::TempDir(), so a fixed file name there
+                      lets two cases clobber each other's files. Use
+                      TestTempPath(name) from tests/test_util.h, which names
+                      the path after the running test case.
 
 Suppression: append `// lint:allow(<rule>) <why>` to the offending line, or
 put `// lint:allow-next-line(<rule>) <why>` on the line above when the
@@ -86,6 +92,10 @@ RAW_FILE_IO_RE = re.compile(
     r"\b(?:fopen|fdopen|freopen|fread|fwrite|fseeko?|ftello?|fclose|fflush|"
     r"mmap|munmap|pread|pwrite|lseek)\s*\(|::open\s*\(")
 RAW_FILE_IO_ALLOWED_PREFIX = "src/storage/"
+
+# Matched against the raw text (the literal is the point); a match counts
+# only when its `TempDir` token is code, not comment.
+FIXED_TEMP_PATH_RE = re.compile(r'\bTempDir\s*\(\s*\)\s*\+\s*(?:u8|[LuU])?R?"')
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -219,6 +229,13 @@ def lint_file(path, root):
                        f"failpoint site '{name}' must be dotted lower_snake "
                        "segments like 'module.site'")
 
+    for m in FIXED_TEMP_PATH_RE.finditer(text):
+        if stripped[m.start()] != " ":
+            report(line_of_offset(text, m.start()), "fixed-temp-path",
+                   "fixed file name under TempDir() is shared by every test "
+                   "process ctest runs in parallel — use TestTempPath(name) "
+                   "(tests/test_util.h)")
+
     for idx, line in enumerate(original_lines, start=1):
         m = INCLUDE_RE.match(line)
         if not m:
@@ -303,6 +320,20 @@ SELF_TEST_FIXTURES = {
         '#include "bar/widget_internal.h"\n', "internal-include"),
     "src/foo/bad_relative.cc": (
         '#include "../foo/thing.h"\n', "internal-include"),
+    "tests/bad_temp_path.cc": (
+        "#include <gtest/gtest.h>\n"
+        "std::string P() {\n"
+        '  return ::testing::TempDir() + "fixed.csv";\n'
+        "}\n", "fixed-temp-path"),
+    # A computed suffix, or the literal in a comment, is not a fixed path.
+    "tests/temp_path_ok.cc": (
+        '// ::testing::TempDir() + "fixed.csv" in a comment must not fire\n'
+        "#include <gtest/gtest.h>\n"
+        "std::string P(const std::string& name) {\n"
+        "  std::string path = ::testing::TempDir();\n"
+        "  path += name;\n"
+        "  return path;\n"
+        "}\n", None),
     # Clean fixture: mentions forbidden names only in comments/strings, uses
     # a well-formed failpoint, a CHECK in a void function, and a justified
     # suppression — none of which may fire.
