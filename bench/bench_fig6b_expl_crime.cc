@@ -48,8 +48,6 @@ int main(int argc, char** argv) {
   json.AddConfig("num_rows", static_cast<int64_t>(data.num_rows));
   json.AddConfig("num_questions", static_cast<int64_t>(questions.size()));
   json.AddConfig("total_local_patterns", total_locals);
-  json.AddConfig("dictionary_kernels",
-                 static_cast<int64_t>(DictionaryKernelsEnabled() ? 1 : 0));
 
   std::printf("%-8s %14s %14s %10s %16s\n", "N_P", "NAIVE(ms)", "OPT(ms)", "saving",
               "pairs pruned");

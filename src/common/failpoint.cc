@@ -23,7 +23,6 @@ constexpr const char* kSites[] = {
     "mining.group",     // miners: shared GroupByAggregate query
     "mining.cube.group",  // CUBE miner: cube materialization
     "mining.sort",      // miners: per-split sort query
-    "fd.count_groups",  // FdDetector::CountGroups scan
     "explain.norm",     // explainer: NORM aggregation query
     "explain.refine",   // explainer: (P, P') drill-down scan
     "sql.execute",      // ExecuteSelect entry

@@ -36,14 +36,9 @@ Result<Engine> Engine::FromCsvFile(const std::string& path, const CsvReadOptions
 }
 
 Status Engine::MinePatterns(const std::string& miner_name) {
-  // Approximate (sampled) results carry error bounds, not guarantees; they
-  // never enter the serving cache even though their digest would segregate
-  // them — a sampled set must be an explicit per-run choice, not an
-  // accidental cache hit.
-  const bool approximate = mining_config_.approx_sample_rows > 0;
   uint64_t fingerprint = 0;
   uint64_t config_digest = 0;
-  if (pattern_cache_ != nullptr && !approximate) {
+  if (pattern_cache_ != nullptr) {
     fingerprint = table_->Fingerprint();
     config_digest = MiningConfigDigest(mining_config_);
     if (auto cached = pattern_cache_->Lookup(fingerprint, config_digest)) {
@@ -68,7 +63,6 @@ Status Engine::MinePatterns(const std::string& miner_name) {
     stats_cell_->stats.cache_misses += 1;
   }
   CAPE_ASSIGN_OR_RETURN(auto miner, MakeMinerByName(miner_name));
-  if (approximate) miner = MakeSampledMiner(std::move(miner));
   CAPE_ASSIGN_OR_RETURN(MiningResult result, miner->Mine(*table_, mining_config_));
   patterns_ = std::make_shared<const PatternSet>(std::move(result.patterns));
   mining_profile_ = result.profile;
@@ -89,7 +83,7 @@ Status Engine::MinePatterns(const std::string& miner_name) {
   // admission itself is best-effort: a fault here (simulated concurrent
   // eviction / admission race) keeps the freshly mined result and simply
   // leaves the cache cold — the request still succeeds.
-  if (pattern_cache_ != nullptr && !approximate && !result.truncated &&
+  if (pattern_cache_ != nullptr && !result.truncated &&
       !CAPE_FAILPOINT_FIRES("engine.cache_admit")) {
     const int64_t evictions =
         pattern_cache_->Insert(fingerprint, config_digest, patterns_, table_->schema());
@@ -104,8 +98,7 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
   // All-or-nothing: every row must validate before any is appended.
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->ValidateRow(row));
   const uint64_t config_digest = MiningConfigDigest(mining_config_);
-  const bool use_cache =
-      pattern_cache_ != nullptr && mining_config_.approx_sample_rows == 0;
+  const bool use_cache = pattern_cache_ != nullptr;
   uint64_t old_fingerprint = 0;
   // O(delta) thanks to the table's incremental fingerprint chain — this is
   // the pre-append key the cache entry currently lives under.

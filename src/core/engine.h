@@ -163,8 +163,6 @@ class Engine {
 
   /// Runs offline ARP mining with the named algorithm ("ARP-MINE" default;
   /// also NAIVE, CUBE, SHARE-GRP). Replaces any previously mined patterns.
-  /// When mining_config().approx_sample_rows > 0 the miner is wrapped in the
-  /// sampled first-pass layer; approximate results bypass the serving cache.
   Status MinePatterns(const std::string& miner_name = "ARP-MINE");
 
   /// Appends `rows` to the relation and brings the mined pattern set up to
@@ -173,7 +171,7 @@ class Engine {
   /// rows touch, and the result is byte-identical to re-mining the grown
   /// table from scratch. Falls back to a full re-mine — counted in
   /// run_stats().maint_full_remines — when the config is not maintainable
-  /// (FD optimizations, sampling), the data defeats byte-stable fragment
+  /// (FD optimizations), the data defeats byte-stable fragment
   /// identity (NaN), no patterns were mined yet, or maintenance itself
   /// fails. On a deadline/cancellation stop the rows stay appended, the
   /// stop Status is returned, and the maintainer remains valid at its

@@ -255,12 +255,6 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   const double norm_denominator = std::fabs(norm) + config.epsilon;
   const double distance_lb = distance_model.LowerBound(q.group_attrs, attrs);
 
-  // Condition (4) matchers, compiled once per (P, P') pair: string condition
-  // values translate to dictionary codes here, so the per-row checks below
-  // are integer compares instead of boxed Value comparisons.
-  const RowEqualityMatcher f_matcher(*data, f_conditions);
-  if (f_matcher.never_matches()) return Status::OK();  // no tuple has t'[F] = t[F]
-
   std::vector<std::pair<int, Value>> t_conditions;
   if (same_schema) {
     t_conditions.reserve(attr_list.size());
@@ -268,6 +262,9 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
       t_conditions.emplace_back(static_cast<int>(i), q.group_values[i]);
     }
   }
+  // Condition (4)'s t' != t check, compiled once per (P, P') pair: string
+  // condition values translate to dictionary codes here, so the per-row
+  // check below is integer compares instead of boxed Value comparisons.
   const RowEqualityMatcher t_matcher(*data, t_conditions);
   const bool check_same_tuple = same_schema && !t_matcher.never_matches();
 
@@ -282,8 +279,7 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
 
   std::string fragment_key;  // reused across rows; same bytes as EncodeRowKey
   // Conditions (3) and (5) plus candidate emission for one row that already
-  // passed condition (4)'s F-match. Shared verbatim by the block-at-a-time
-  // scan and the legacy row scan, so both produce identical candidates.
+  // passed condition (4)'s F-match.
   auto score_row = [&](int64_t row) {
     // Condition (4): t' != t when over the same schema.
     if (check_same_tuple && t_matcher.Matches(row)) return;
@@ -330,31 +326,17 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
     pool->Add(std::move(e), CandidateRank{pair_rank, row});
   };
 
-  if (VectorizedKernelsEnabled()) {
-    // Condition (4)'s F-match evaluates block-at-a-time into a byte mask;
-    // the scalar scoring above runs only on surviving rows. Candidate order
-    // follows ascending rows either way, so ranks are unchanged.
-    const BlockPredicate f_block(*data, f_conditions);
-    if (f_block.never_matches()) return Status::OK();
-    const int64_t n = data->num_rows();
-    uint8_t mask[kKernelBlockSize];
-    for (int64_t b = 0; b < n; b += kKernelBlockSize) {
+  // Condition (4)'s F-match, t'[F] = t[F], selects its rows block-at-a-time
+  // over every row of `data`; the scalar scoring above runs only on the
+  // selected ones, in ascending row order, so candidate ranks follow rows.
+  std::vector<int64_t> matches;
+  CAPE_RETURN_IF_ERROR(FilterEqualsSel(*data, f_conditions, stop, &matches));
+  profile->num_tuples_checked += data->num_rows();
+  for (size_t j = 0; j < matches.size(); ++j) {
+    if ((j & (static_cast<size_t>(kStopCheckStride) - 1)) == 0) {
       CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-      const int bn = static_cast<int>(std::min<int64_t>(kKernelBlockSize, n - b));
-      profile->num_tuples_checked += bn;
-      f_block.EvalBlock(b, bn, mask);
-      for (int i = 0; i < bn; ++i) {
-        if (mask[i] != 0) score_row(b + i);
-      }
     }
-    return Status::OK();
-  }
-  for (int64_t row = 0; row < data->num_rows(); ++row) {
-    CAPE_RETURN_IF_STOPPED(stop);
-    profile->num_tuples_checked += 1;
-    // Condition (4): t'[F] = t[F].
-    if (!f_matcher.Matches(row)) continue;
-    score_row(row);
+    score_row(matches[j]);
   }
   return Status::OK();
 }

@@ -51,8 +51,11 @@ class AggDataCache {
     spec.output_name = "agg";
     // A failed computation (deadline mid-aggregation) is not cached: the
     // run is ending anyway, and a later retry must not see a poisoned slot.
-    CAPE_ASSIGN_OR_RETURN(TablePtr data,
-                          GroupByAggregate(*relation_, attrs.ToIndices(), {spec}, stop));
+    // Over an out-of-core relation the γ reads pages under entry->mu; that
+    // is the single-flight wait, and only requesters of this key share it.
+    const std::vector<int> cols = attrs.ToIndices();
+    // analyzer:allow-next-line(lock-order) single-flight memo; per-key lock
+    CAPE_ASSIGN_OR_RETURN(TablePtr data, GroupByAggregate(*relation_, cols, {spec}, stop));
     entry->table = data;
     return data;
   }

@@ -3,11 +3,8 @@
 
 #include <unordered_map>
 
-#include "common/cancellation.h"
-#include "common/result.h"
 #include "fd/attr_set.h"
 #include "fd/fd_set.h"
-#include "relational/table.h"
 
 namespace cape {
 
@@ -36,11 +33,6 @@ class FdDetector {
   /// cardinalities and adds the ones that hold to the bound FdSet.
   /// Returns the number of new FDs added.
   int DetectFdsFor(AttrSet g);
-
-  /// Computes |pi_G(table)| directly (used for seeding and tests). Returns
-  /// the stop Status when `stop` fires mid-scan.
-  static Result<int64_t> CountGroups(const Table& table, AttrSet g,
-                                     StopToken* stop = nullptr);
 
  private:
   FdSet* fd_set_;

@@ -388,11 +388,6 @@ Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
         "incremental maintenance with FD optimizations is not supported: FD-based "
         "skips change the candidate space as data grows");
   }
-  if (config.approx_sample_rows > 0) {
-    return Status::NotImplemented(
-        "approximate (sampled) mining is not incrementally maintainable; re-mine "
-        "from scratch");
-  }
 
   auto rep = std::make_unique<Rep>();
   rep->table = table;

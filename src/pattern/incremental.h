@@ -57,7 +57,7 @@ struct MaintenanceStats {
 /// Invariant: after any successful Absorb, Finalize() is byte-identical to
 /// running any of the from-scratch miners on the current table with the same
 /// config (random_equivalence_test proves this across seeds, append
-/// schedules, storage toggles, and thread counts). The equivalence holds
+/// schedules, storage, and thread counts). The equivalence holds
 /// because every ingredient reuses the exact batch code path: group states
 /// extend the committed AggState fold sequentially (never merging partial
 /// sums), fragment cells sort by the same Value ordering SortTable uses, and
@@ -71,9 +71,8 @@ struct MaintenanceStats {
 /// latter and counts it as a full re-mine).
 ///
 /// Unsupported configurations are rejected at Build with Unimplemented:
-/// paged (non-resident) tables, use_fd_optimizations (FD skips change the
-/// candidate space), and approximate sampling (a sample is not maintainable
-/// row-by-row). Tables containing NaN in an eligible double attribute are
+/// paged (non-resident) tables and use_fd_optimizations (FD skips change
+/// the candidate space). Tables containing NaN in an eligible double attribute are
 /// rejected the same way — NaN compares equal to every number under Value
 /// ordering, so fragment identity would not be byte-stable.
 ///

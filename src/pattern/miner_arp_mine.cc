@@ -44,14 +44,32 @@ class ArpMiner final : public PatternMiner {
     CandidateMap candidates;
     FdDetector detector(&result.fds);
 
+    ThreadPool& pool = ThreadPool::Global();
+    ThreadPool::ParallelForOptions opts;
+    opts.max_workers = std::max(config.num_threads, 1);
+    opts.grain = 1;  // one attribute set per claim
+    opts.stop = config.MakeStopToken();
+
     if (config.use_fd_optimizations) {
       // Seed singleton cardinalities (the system-catalog statistics a DBMS
-      // would provide) so size-2 iterations can already test A -> B.
+      // would provide) so size-2 iterations can already test A -> B: the
+      // non-NULL groups of γ_a(R), which is Column::CountDistinct() on a
+      // resident column. The scan kernels count them for either residency
+      // (an out-of-core table's numeric columns hold no rows to count).
       ScopedTimer timer(&profile.query_ns);
       const AttrSet allowed = mining_internal::AllowedAttrs(*table.schema(), config);
       for (int a : allowed.ToIndices()) {
         profile.num_queries += 1;
-        detector.RecordGroupSize(AttrSet::Single(a), table.column(a).CountDistinct());
+        auto groups = GroupByAggregate(table, std::vector<int>{a}, {}, &opts.stop);
+        if (!groups.ok()) {
+          if (!groups.status().IsStop()) return groups.status();
+          result.truncated = true;
+          result.stop_reason = StopReasonFromStatus(groups.status());
+          break;
+        }
+        const Table& distinct = **groups;
+        detector.RecordGroupSize(AttrSet::Single(a),
+                                 distinct.num_rows() - distinct.column(0).null_count());
       }
     }
 
@@ -60,12 +78,6 @@ class ArpMiner final : public PatternMiner {
     // of equal size form the levels.
     CAPE_ASSIGN_OR_RETURN(const std::vector<AttrSet> group_sets,
                           mining_internal::EnumerateGroupSets(*table.schema(), config));
-
-    ThreadPool& pool = ThreadPool::Global();
-    ThreadPool::ParallelForOptions opts;
-    opts.max_workers = std::max(config.num_threads, 1);
-    opts.grain = 1;  // one attribute set per claim
-    opts.stop = config.MakeStopToken();
 
     size_t level_begin = 0;
     while (level_begin < group_sets.size() && !result.truncated) {

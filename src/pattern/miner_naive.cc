@@ -109,8 +109,7 @@ class NaiveMiner final : public PatternMiner {
       {
         ScopedTimer timer(&profile->query_ns);
         profile->num_queries += 1;
-        // Fused σ→γ: with vectorized kernels on, the fragment's filtered
-        // table is never materialized.
+        // Fused σ→γ: the fragment's filtered table is never materialized.
         CAPE_ASSIGN_OR_RETURN(fragment_data,
                               FilterGroupAggregate(table, conditions, v_attrs, {spec}, stop));
       }

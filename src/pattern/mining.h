@@ -67,23 +67,6 @@ struct MiningConfig {
   /// exceed total_ns (which stays wall time).
   int num_threads = 1;
 
-  /// Approximate first-pass mining (sampled miner, DESIGN.md §16): when
-  /// approx_sample_rows > 0 and the table has more rows than that, the
-  /// sampled miner mines a deterministic reservoir sample of that many rows
-  /// instead of the full table, scaling the local support threshold by the
-  /// sampling rate and reporting Hoeffding/empirical-Bernstein error bounds
-  /// in the profile. 0 (default) disables sampling — exact mining. The
-  /// result is marked MiningProfile::approximate and must never be cached
-  /// or compared against exact runs.
-  int64_t approx_sample_rows = 0;
-  /// Seed of the deterministic reservoir; part of the config digest (two
-  /// seeds sample different rows and mine different pattern sets).
-  uint64_t approx_seed = 1;
-  /// Failure probability of the reported support bound (Hoeffding's
-  /// delta): with probability >= 1 - approx_failure_prob, a fragment's true
-  /// support rate is within approx_support_epsilon of its sampled rate.
-  double approx_failure_prob = 0.05;
-
   /// Request lifecycle: when deadline_ms > 0 the miner stops cooperatively
   /// after that many milliseconds of wall time and returns the patterns
   /// fully evaluated so far with MiningResult::truncated set; cancel_token
@@ -126,20 +109,6 @@ struct MiningProfile {
   int64_t num_queries = 0;             // aggregation/filter queries executed
   int64_t num_sorts = 0;               // sort queries executed
   int64_t num_rows_scanned = 0;        // aggregated-data rows consumed by fit scans
-
-  /// Approximate-mode marker (sampled miner): set when the run mined a
-  /// sample instead of the full table. Approximate pattern sets carry error
-  /// bounds, not guarantees — callers must not cache them under the exact
-  /// config digest or diff them against exact runs.
-  bool approximate = false;
-  int64_t approx_rows_sampled = 0;   // reservoir size actually mined
-  int64_t approx_rows_total = 0;     // table rows the sample represents
-  /// Hoeffding bound on fragment support rates: with probability
-  /// >= 1 - approx_failure_prob, |sampled_rate - true_rate| <= this.
-  double approx_support_epsilon = 0.0;
-  /// Empirical-Bernstein bound on the mean aggregate value (uses the
-  /// sample's observed variance and range via RegressionMoments).
-  double approx_quality_epsilon = 0.0;
 
   int64_t other_ns() const {
     int64_t o = total_ns - regression_ns - query_ns;
@@ -192,15 +161,6 @@ std::unique_ptr<PatternMiner> MakeArpMiner();
 /// All four miners keyed by paper name ("NAIVE", "CUBE", "SHARE-GRP",
 /// "ARP-MINE"); NotFound for anything else.
 Result<std::unique_ptr<PatternMiner>> MakeMinerByName(const std::string& name);
-
-/// Sampling-based first-pass wrapper: when MiningConfig::approx_sample_rows
-/// is positive and smaller than the table, mines `inner` over a
-/// deterministic reservoir sample (Algorithm R, SplitMix64-driven, row
-/// order preserved) with the local support threshold scaled by the sample
-/// rate, and marks the profile approximate with Hoeffding support and
-/// empirical-Bernstein quality bounds. Otherwise delegates to `inner`
-/// unchanged — exact in, exact out.
-std::unique_ptr<PatternMiner> MakeSampledMiner(std::unique_ptr<PatternMiner> inner);
 
 }  // namespace cape
 

@@ -307,13 +307,6 @@ uint64_t MiningConfigDigest(const MiningConfig& config) {
   h.UpdateU64(config.excluded_attrs.size());
   for (const std::string& name : config.excluded_attrs) h.UpdateString(name);
   h.UpdateU8(config.use_fd_optimizations ? 1 : 0);
-  // Approximate-mode knobs change which rows are mined, hence the result;
-  // the digest separates sampled pattern sets from exact ones in the cache.
-  if (config.approx_sample_rows > 0) {
-    h.UpdateI64(config.approx_sample_rows);
-    h.UpdateU64(config.approx_seed);
-    h.UpdateDouble(config.approx_failure_prob);
-  }
   h.UpdateU64(config.initial_fds.size());
   for (const FunctionalDependency& fd : config.initial_fds.fds()) {
     h.UpdateU64(fd.lhs.bits());

@@ -159,44 +159,32 @@ double Column::GetNumeric(int64_t row) const {
   return 0.0;
 }
 
-void Column::AppendFrom(const Column& src, int64_t row) {
-  CAPE_DCHECK(src.type_ == type_);
-  if (src.IsNull(row)) {
-    AppendNull();
-    return;
-  }
-  switch (type_) {
-    case DataType::kInt64:
-      int64_data_.push_back(src.int64_data_[static_cast<size_t>(row)]);
-      break;
-    case DataType::kDouble:
-      double_data_.push_back(src.double_data_[static_cast<size_t>(row)]);
-      break;
-    case DataType::kString:
-      codes_.push_back(
-          InternString(src.dict_[static_cast<size_t>(src.codes_[static_cast<size_t>(row)])]));
-      break;
-  }
-  validity_.push_back(1);
+ColumnChunk Column::chunk() const {
+  ColumnChunk ch;
+  ch.validity = validity_.data();
+  ch.i64 = int64_data_.data();
+  ch.f64 = double_data_.data();
+  ch.codes = codes_.data();
+  ch.null_count = null_count_;
+  return ch;
 }
 
-void Column::AppendManyFrom(const Column& src, const std::vector<int64_t>& rows) {
-  CAPE_DCHECK(src.type_ == type_);
+void Column::AppendManyFrom(const ColumnChunk& src, const Column& src_col,
+                            const int64_t* rows, int64_t n) {
+  CAPE_DCHECK(src_col.type_ == type_);
   switch (type_) {
     case DataType::kInt64:
-      // analyzer:allow-next-line(cancellation) ingestion primitive; callers batch
-      for (int64_t row : rows) {
-        const uint8_t valid = src.validity_[static_cast<size_t>(row)];
-        int64_data_.push_back(src.int64_data_[static_cast<size_t>(row)]);
+      for (int64_t j = 0; j < n; ++j) {
+        const uint8_t valid = src.validity[rows[j]];
+        int64_data_.push_back(valid != 0 ? src.i64[rows[j]] : 0);
         validity_.push_back(valid);
         null_count_ += 1 - valid;
       }
       return;
     case DataType::kDouble:
-      // analyzer:allow-next-line(cancellation) ingestion primitive; callers batch
-      for (int64_t row : rows) {
-        const uint8_t valid = src.validity_[static_cast<size_t>(row)];
-        double_data_.push_back(src.double_data_[static_cast<size_t>(row)]);
+      for (int64_t j = 0; j < n; ++j) {
+        const uint8_t valid = src.validity[rows[j]];
+        double_data_.push_back(valid != 0 ? src.f64[rows[j]] : 0.0);
         validity_.push_back(valid);
         null_count_ += 1 - valid;
       }
@@ -204,10 +192,9 @@ void Column::AppendManyFrom(const Column& src, const std::vector<int64_t>& rows)
     case DataType::kString: {
       // Memoized src->dst code translation: each distinct source code pays
       // one hash lookup, every further occurrence is a vector read.
-      std::vector<int32_t> code_map(src.dict_.size(), kNullCode);
-      // analyzer:allow-next-line(cancellation) ingestion primitive; callers batch
-      for (int64_t row : rows) {
-        const int32_t src_code = src.codes_[static_cast<size_t>(row)];
+      std::vector<int32_t> code_map(src_col.dict_.size(), kNullCode);
+      for (int64_t j = 0; j < n; ++j) {
+        const int32_t src_code = src.codes[rows[j]];
         if (src_code < 0) {
           codes_.push_back(kNullCode);
           validity_.push_back(0);
@@ -215,7 +202,7 @@ void Column::AppendManyFrom(const Column& src, const std::vector<int64_t>& rows)
           continue;
         }
         int32_t& dst_code = code_map[static_cast<size_t>(src_code)];
-        if (dst_code < 0) dst_code = InternString(src.dict_[static_cast<size_t>(src_code)]);
+        if (dst_code < 0) dst_code = InternString(src_col.dict_[static_cast<size_t>(src_code)]);
         codes_.push_back(dst_code);
         validity_.push_back(1);
       }

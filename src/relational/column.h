@@ -12,6 +12,21 @@
 
 namespace cape {
 
+/// One column's values over a run of rows, laid out exactly like the Column
+/// arrays below: a resident Column hands out its whole arrays as one chunk
+/// (Column::chunk()), and a pinned heap-file page holds one chunk per
+/// column (page_source.h). The scan kernels index these pointers with
+/// chunk-local row offsets. Pointers for the non-matching types are null;
+/// `validity` is always populated, NULL slots hold 0 / 0.0 / -1, and
+/// `null_count` lets kernels keep their no-null fast paths.
+struct ColumnChunk {
+  const uint8_t* validity = nullptr;
+  const int64_t* i64 = nullptr;
+  const double* f64 = nullptr;
+  const int32_t* codes = nullptr;
+  int64_t null_count = 0;  ///< NULL slots within this chunk only.
+};
+
 /// Columnar storage for one attribute: a typed value vector plus a validity
 /// vector. Appending a Value of the wrong type is a TypeError; NULL appends
 /// store a default-constructed slot with validity=false.
@@ -80,6 +95,10 @@ class Column {
   const double* double_data() const { return double_data_.data(); }
   const int32_t* codes_data() const { return codes_.data(); }
 
+  /// The arrays above as one ColumnChunk over rows [0, size()). Valid until
+  /// the next append.
+  ColumnChunk chunk() const;
+
   /// Number of interned dictionary entries (string columns only).
   int64_t dict_size() const { return static_cast<int64_t>(dict_.size()); }
 
@@ -107,15 +126,14 @@ class Column {
   /// their own placeholder for non-numeric columns.
   double GetNumeric(int64_t row) const;
 
-  /// Appends `src`'s value at `row` without boxing through Value. Both
-  /// columns must have the same type (CHECKed).
-  void AppendFrom(const Column& src, int64_t row);
-
-  /// Bulk AppendFrom for all of `rows`. For string columns the src->dst code
+  /// Appends chunk-local rows rows[0..n) of `src`, a chunk of a column of
+  /// this type: `src_col`'s own arrays, or a heap-file page whose codes
+  /// `src_col`'s dictionary interprets. For string columns the src->dst code
   /// translation is memoized per distinct code, so materializing a large
   /// selection or sort permutation interns each distinct string once instead
   /// of hashing it per row.
-  void AppendManyFrom(const Column& src, const std::vector<int64_t>& rows);
+  void AppendManyFrom(const ColumnChunk& src, const Column& src_col, const int64_t* rows,
+                      int64_t n);
 
   /// Number of distinct non-null values. O(1) for string columns (the
   /// dictionary is exactly the distinct set); hash-based O(n) otherwise.

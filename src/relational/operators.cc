@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstring>
 #include <iterator>
-#include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -16,20 +12,6 @@
 #include "relational/operators_internal.h"
 
 namespace cape {
-
-namespace {
-
-std::atomic<bool> g_dictionary_kernels{true};
-
-}  // namespace
-
-void SetDictionaryKernelsEnabled(bool enabled) {
-  g_dictionary_kernels.store(enabled, std::memory_order_relaxed);
-}
-
-bool DictionaryKernelsEnabled() {
-  return g_dictionary_kernels.load(std::memory_order_relaxed);
-}
 
 namespace relational_internal {
 
@@ -79,32 +61,48 @@ DataType AggOutputType(const Table& table, const AggregateSpec& spec) {
   return DataType::kDouble;
 }
 
-void UpdateAggState(const Table& table, const AggregateSpec& spec, int64_t row,
-                    AggState* state) {
+Value ChunkGetValue(const ColumnChunk& chunk, const Column& col, int64_t i) {
+  if (chunk.validity[i] == 0) return Value::Null();
+  switch (col.type()) {
+    case DataType::kInt64:
+      return Value::Int64(chunk.i64[i]);
+    case DataType::kDouble:
+      return Value::Double(chunk.f64[i]);
+    case DataType::kString:
+      return Value::String(col.DictString(chunk.codes[i]));
+  }
+  return Value::Null();
+}
+
+void UpdateAggState(const Table& table, const AggregateSpec& spec, const ColumnChunk* chunks,
+                    int64_t i, AggState* state) {
   if (spec.input_col == AggregateSpec::kCountStar) {
     ++state->count;
     return;
   }
-  const Column& col = table.column(spec.input_col);
-  if (col.IsNull(row)) return;
+  const ColumnChunk& chunk = chunks[spec.input_col];
+  if (chunk.validity[i] == 0) return;
   ++state->count;
+  const Column& col = table.column(spec.input_col);
   switch (spec.func) {
     case AggFunc::kCount:
       break;
     case AggFunc::kSum:
     case AggFunc::kAvg:
       if (col.type() == DataType::kInt64) {
-        state->isum += col.GetInt64(row);
+        state->isum += chunk.i64[i];
+        state->dsum += static_cast<double>(chunk.i64[i]);
+      } else {
+        state->dsum += chunk.f64[i];
       }
-      state->dsum += col.GetNumeric(row);
       break;
     case AggFunc::kMin: {
-      Value v = col.GetValue(row);
+      Value v = ChunkGetValue(chunk, col, i);
       if (state->min_value.is_null() || v < state->min_value) state->min_value = std::move(v);
       break;
     }
     case AggFunc::kMax: {
-      Value v = col.GetValue(row);
+      Value v = ChunkGetValue(chunk, col, i);
       if (state->max_value.is_null() || state->max_value < v) state->max_value = std::move(v);
       break;
     }
@@ -163,69 +161,35 @@ const char* AggFuncToString(AggFunc func) {
 }
 
 GroupKeyEncoder::GroupKeyEncoder(const Table& table, std::vector<int> cols)
-    : table_(table), cols_(std::move(cols)), use_codes_(DictionaryKernelsEnabled()) {}
+    : cols_(std::move(cols)) {
+  types_.reserve(cols_.size());
+  for (int c : cols_) types_.push_back(table.column(c).type());
+}
 
-void GroupKeyEncoder::EncodeRow(int64_t row, std::string* buf) const {
-  if (use_codes_) {
-    // Compact format: 0x00 for NULL, else 0x01 followed by a fixed-width
-    // payload (8-byte int64/double, 4-byte dictionary code). The schema fixes
-    // each column's payload width and per-column encodings are prefix-free,
-    // so keys decode unambiguously: equal keys <=> equal projections. No type
-    // tag is needed — all rows of one column share a type.
-    for (int c : cols_) {
-      const Column& col = table_.column(c);
-      if (col.IsNull(row)) {
-        buf->push_back('\0');
-        continue;
-      }
-      buf->push_back('\1');
-      switch (col.type()) {
-        case DataType::kInt64: {
-          const int64_t v = col.GetInt64(row);
-          buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case DataType::kDouble: {
-          double v = col.GetDouble(row);
-          if (v == 0.0) v = 0.0;  // canonicalize -0.0
-          buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
-          break;
-        }
-        case DataType::kString: {
-          const int32_t code = col.GetCode(row);
-          buf->append(reinterpret_cast<const char*>(&code), sizeof(code));
-          break;
-        }
-      }
-    }
-    return;
-  }
-  for (int c : cols_) {
-    const Column& col = table_.column(c);
-    if (col.IsNull(row)) {
+void GroupKeyEncoder::EncodeRow(const ColumnChunk* chunks, int64_t row,
+                                std::string* buf) const {
+  for (size_t k = 0; k < cols_.size(); ++k) {
+    const ColumnChunk& chunk = chunks[cols_[k]];
+    if (chunk.validity[row] == 0) {
       buf->push_back('\0');
       continue;
     }
-    switch (col.type()) {
+    buf->push_back('\1');
+    switch (types_[k]) {
       case DataType::kInt64: {
-        buf->push_back('i');
-        int64_t v = col.GetInt64(row);
+        const int64_t v = chunk.i64[row];
         buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
         break;
       }
       case DataType::kDouble: {
-        buf->push_back('d');
-        double v = col.GetDouble(row);
+        double v = chunk.f64[row];
         if (v == 0.0) v = 0.0;  // canonicalize -0.0
         buf->append(reinterpret_cast<const char*>(&v), sizeof(v));
         break;
       }
       case DataType::kString: {
-        buf->push_back('s');
-        const std::string& s = col.GetString(row);
-        uint32_t len = static_cast<uint32_t>(s.size());
-        buf->append(reinterpret_cast<const char*>(&len), sizeof(len));
-        buf->append(s);
+        const int32_t code = chunk.codes[row];
+        buf->append(reinterpret_cast<const char*>(&code), sizeof(code));
         break;
       }
     }
@@ -234,17 +198,10 @@ void GroupKeyEncoder::EncodeRow(int64_t row, std::string* buf) const {
 
 RowEqualityMatcher::RowEqualityMatcher(const Table& table,
                                        const std::vector<std::pair<int, Value>>& conditions) {
-  const bool use_codes = DictionaryKernelsEnabled();
   conds_.reserve(conditions.size());
   for (const auto& [col_idx, value] : conditions) {
     Cond cond;
     cond.col = &table.column(col_idx);
-    if (!use_codes) {
-      cond.kind = Kind::kBoxed;
-      cond.boxed = value;
-      conds_.push_back(std::move(cond));
-      continue;
-    }
     if (value.is_null()) {
       cond.kind = Kind::kIsNull;
     } else if (cond.col->type() == DataType::kString) {
@@ -272,7 +229,7 @@ RowEqualityMatcher::RowEqualityMatcher(const Table& table,
       cond.kind = Kind::kDoubleEq;
       cond.f64 = value.AsDouble();
     }
-    conds_.push_back(std::move(cond));
+    conds_.push_back(cond);
   }
 }
 
@@ -298,9 +255,6 @@ bool RowEqualityMatcher::Matches(int64_t row) const {
         if (x < cond.f64 || x > cond.f64) return false;
         break;
       }
-      case Kind::kBoxed:
-        if (cond.col->GetValue(row) != cond.boxed) return false;
-        break;
     }
   }
   return true;
@@ -309,199 +263,8 @@ bool RowEqualityMatcher::Matches(int64_t row) const {
 Result<TablePtr> GroupByAggregate(const Table& table, const std::vector<int>& group_cols,
                                   const std::vector<AggregateSpec>& aggs,
                                   StopToken* stop) {
-  if (table.UsesPagedScan() || VectorizedKernelsEnabled()) {
-    // The fused kernel with an empty condition list is exactly this operator
-    // (its vectorized branch never calls back into GroupByAggregate). A
-    // page-backed table must route there unconditionally: it self-dispatches
-    // to the paged scan, and the legacy row loop below cannot read rows that
-    // live only in the heap file.
-    return FilterGroupAggregate(table, {}, group_cols, aggs, stop);
-  }
-  for (int c : group_cols) CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, c));
-  for (const AggregateSpec& spec : aggs) CAPE_RETURN_IF_ERROR(ValidateAggSpec(table, spec));
-
-  // Output schema: group columns then aggregates.
-  std::vector<Field> out_fields;
-  out_fields.reserve(group_cols.size() + aggs.size());
-  for (int c : group_cols) out_fields.push_back(table.schema()->field(c));
-  for (const AggregateSpec& spec : aggs) {
-    out_fields.push_back(Field{spec.output_name, AggOutputType(table, spec), true});
-  }
-
-  std::vector<int64_t> representative_row;    // first row of each group
-  std::vector<std::vector<AggState>> states;  // [group][agg]
-
-  // Dense-key fast path (DESIGN.md §10): every group column that is a
-  // string maps rows onto its dictionary codes, and an int64 column with a
-  // narrow value range maps onto value - min; both are small dense integer
-  // domains, so the whole group key packs into one uint64 mixed-radix code.
-  // Rows are equal under the packed code exactly when they are equal under
-  // the byte encoder (per-column value-or-both-null equality), and groups
-  // are still numbered in discovery order, so the output is byte-identical
-  // to the generic path. Double columns, wide int ranges, and overflowing
-  // domain products fall back to the encoder below.
-  struct DenseKeyCol {
-    const Column* col;
-    uint64_t stride;
-    int64_t base;  // minimum value for int64 columns
-    bool is_string;
-  };
-  std::vector<DenseKeyCol> dense;
-  uint64_t domain_product = 1;
-  bool dense_ok = DictionaryKernelsEnabled() && !group_cols.empty() &&
-                  table.num_rows() < (int64_t{1} << 31);
-  if (dense_ok) {
-    for (int c : group_cols) {
-      const Column& col = table.column(c);
-      DenseKeyCol d{&col, domain_product, 0, false};
-      uint64_t domain;  // cardinality + 1 slot for NULL
-      if (col.type() == DataType::kString) {
-        d.is_string = true;
-        domain = static_cast<uint64_t>(col.dict_size()) + 1;
-      } else if (col.type() == DataType::kInt64) {
-        int64_t lo = 0, hi = 0;
-        bool any = false;
-        for (int64_t row = 0; row < table.num_rows(); ++row) {
-          if ((row & (kStopCheckStride - 1)) == 0) CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-          if (col.IsNull(row)) continue;
-          const int64_t v = col.GetInt64(row);
-          lo = any ? std::min(lo, v) : v;
-          hi = any ? std::max(hi, v) : v;
-          any = true;
-        }
-        const uint64_t width = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-        if (width >= (uint64_t{1} << 22)) {
-          dense_ok = false;  // wide range: dense codes would be too sparse
-          break;
-        }
-        domain = width + 2;
-        d.base = lo;
-      } else {
-        dense_ok = false;  // double group keys keep the generic encoder
-        break;
-      }
-      if (domain_product > std::numeric_limits<uint64_t>::max() / domain) {
-        dense_ok = false;  // mixed-radix product overflows uint64
-        break;
-      }
-      domain_product *= domain;
-      dense.push_back(d);
-    }
-  }
-
-  const size_t expected_groups =
-      group_cols.empty() ? 1 : static_cast<size_t>(table.num_rows() / 4 + 1);
-
-  if (dense_ok) {
-    auto pack_key = [&dense](int64_t row) {
-      uint64_t key = 0;
-      for (const DenseKeyCol& d : dense) {
-        const uint64_t code =
-            d.is_string
-                ? static_cast<uint64_t>(d.col->GetCode(row) + 1)  // NULL -> 0
-                : (d.col->IsNull(row)
-                       ? 0
-                       : static_cast<uint64_t>(d.col->GetInt64(row) - d.base) + 1);
-        key += code * d.stride;
-      }
-      return key;
-    };
-    // Small key spaces use a direct-address table (one array access per
-    // row); larger ones fall back to an exact uint64-keyed hash map. Both
-    // avoid the byte encoding, string hashing, and per-group heap chains of
-    // the generic path.
-    const uint64_t direct_cap =
-        static_cast<uint64_t>(std::max<int64_t>(table.num_rows(), 1024)) * 4;
-    auto update_row = [&](int64_t row, size_t group, bool is_new) {
-      if (is_new) {
-        representative_row.push_back(row);
-        states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& group_states = states[group];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        UpdateAggState(table, aggs[a], row, &group_states[a]);
-      }
-    };
-    if (domain_product <= direct_cap) {
-      std::vector<int32_t> group_of_key(domain_product, -1);
-      for (int64_t row = 0; row < table.num_rows(); ++row) {
-        CAPE_RETURN_IF_STOPPED(stop);
-        int32_t& slot = group_of_key[pack_key(row)];
-        const bool is_new = slot < 0;
-        if (is_new) slot = static_cast<int32_t>(states.size());
-        update_row(row, static_cast<size_t>(slot), is_new);
-      }
-    } else {
-      std::unordered_map<uint64_t, size_t> group_of_key;
-      group_of_key.reserve(expected_groups);
-      for (int64_t row = 0; row < table.num_rows(); ++row) {
-        CAPE_RETURN_IF_STOPPED(stop);
-        auto [it, is_new] = group_of_key.try_emplace(pack_key(row), states.size());
-        update_row(row, it->second, is_new);
-      }
-    }
-  } else {
-    GroupKeyEncoder encoder(table, group_cols);
-    // The table is keyed by the key's FNV-1a hash, computed once per row
-    // (std::unordered_map<std::string, ...> would re-hash the bytes on every
-    // probe and again on every rehash). Hash collisions are resolved by
-    // comparing the encoded key against the bucket's groups; groups keep
-    // their discovery order, which downstream output depends on.
-    std::unordered_map<uint64_t, std::vector<size_t>> group_buckets;
-    std::vector<std::string> group_keys;  // encoded key of each group
-
-    // Sizing heuristic: grouping keeps at most num_rows distinct keys, and
-    // the mining workloads typically see group counts within a small factor
-    // of the row count, so reserving a quarter up front eliminates almost
-    // all rehash cycles without over-allocating for low-cardinality keys.
-    group_buckets.reserve(expected_groups);
-    group_keys.reserve(expected_groups);
-
-    std::string key;
-    for (int64_t row = 0; row < table.num_rows(); ++row) {
-      CAPE_RETURN_IF_STOPPED(stop);
-      key.clear();
-      encoder.EncodeRow(row, &key);
-      const uint64_t hash = HashBytes(key.data(), key.size());
-      std::vector<size_t>& bucket = group_buckets[hash];
-      size_t group = states.size();
-      for (size_t candidate : bucket) {
-        if (group_keys[candidate] == key) {
-          group = candidate;
-          break;
-        }
-      }
-      if (group == states.size()) {
-        bucket.push_back(group);
-        group_keys.push_back(key);
-        representative_row.push_back(row);
-        states.emplace_back(aggs.size());
-      }
-      std::vector<AggState>& group_states = states[group];
-      for (size_t a = 0; a < aggs.size(); ++a) {
-        UpdateAggState(table, aggs[a], row, &group_states[a]);
-      }
-    }
-  }
-
-  // Aggregation without grouping yields exactly one row even on empty input.
-  if (group_cols.empty() && states.empty()) {
-    representative_row.push_back(-1);
-    states.emplace_back(aggs.size());
-  }
-
-  auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
-  out->Reserve(static_cast<int64_t>(states.size()));
-  Row out_row;
-  for (size_t g = 0; g < states.size(); ++g) {
-    out_row.clear();
-    for (int c : group_cols) out_row.push_back(table.GetValue(representative_row[g], c));
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      out_row.push_back(FinalizeAggState(table, aggs[a], states[g][a]));
-    }
-    CAPE_RETURN_IF_ERROR(out->AppendRow(out_row));
-  }
-  return out;
+  // γ is the fused σ → γ kernel with no conditions.
+  return FilterGroupAggregate(table, {}, group_cols, aggs, stop);
 }
 
 Result<TablePtr> GroupByAggregate(const Table& table,
@@ -521,7 +284,7 @@ Result<TablePtr> Filter(const Table& table, const std::function<bool(int64_t)>& 
                         StopToken* stop) {
   if (!table.rows_resident()) {
     // The arbitrary-predicate filter is row-at-a-time by construction; the
-    // paged operators cover every engine query shape (σ= via FilterEquals,
+    // scan kernels cover every engine query shape (σ= via FilterEquals,
     // counting, fused group-aggregate), so out-of-core tables don't need it.
     return Status::NotImplemented("Filter requires resident rows; use FilterEquals");
   }
@@ -534,34 +297,6 @@ Result<TablePtr> Filter(const Table& table, const std::function<bool(int64_t)>& 
   out->Reserve(static_cast<int64_t>(matches.size()));
   CAPE_RETURN_IF_ERROR(out->AppendRowsFrom(table, matches));
   return out;
-}
-
-Result<TablePtr> FilterEquals(const Table& table,
-                              const std::vector<std::pair<int, Value>>& conditions,
-                              StopToken* stop) {
-  for (const auto& [col, value] : conditions) {
-    CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, col));
-    (void)value;
-  }
-  if (table.UsesPagedScan()) {
-    return relational_internal::PagedFilterEquals(table, conditions, stop);
-  }
-  if (VectorizedKernelsEnabled()) {
-    std::vector<int64_t> sel;
-    CAPE_RETURN_IF_ERROR(FilterEqualsSel(table, conditions, stop, &sel));
-    auto out = std::make_shared<Table>(table.schema());
-    out->Reserve(static_cast<int64_t>(sel.size()));
-    CAPE_RETURN_IF_ERROR(out->AppendRowsFrom(table, sel));
-    return out;
-  }
-  RowEqualityMatcher matcher(table, conditions);
-  if (matcher.never_matches()) {
-    // A condition value that cannot occur in its column (e.g. a string absent
-    // from the dictionary) proves the selection is empty without a scan.
-    if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-    return std::make_shared<Table>(table.schema());
-  }
-  return Filter(table, [&](int64_t row) { return matcher.Matches(row); }, stop);
 }
 
 Result<TablePtr> Project(const Table& table, const std::vector<int>& cols,
@@ -589,44 +324,24 @@ Result<TablePtr> Project(const Table& table, const std::vector<int>& cols,
 
 Result<TablePtr> ProjectDistinct(const Table& table, const std::vector<int>& cols,
                                  StopToken* stop) {
-  std::vector<Field> out_fields;
-  out_fields.reserve(cols.size());
-  for (int c : cols) {
-    CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, c));
-    out_fields.push_back(table.schema()->field(c));
-  }
-  if (table.UsesPagedScan()) {
-    if (cols.empty()) {
-      // Distinct over zero columns: one empty row iff the table is
-      // non-empty. (The fused kernel's no-group shape always emits a row,
-      // so this edge is handled here.)
-      auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
-      if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-      if (table.num_rows() > 0) CAPE_RETURN_IF_ERROR(out->AppendRow(Row{}));
-      return out;
-    }
+  if (!cols.empty()) {
     // Grouping with no aggregates emits exactly the distinct combinations,
-    // in the same first-seen order as the row loop below.
+    // in first-seen order.
     return FilterGroupAggregate(table, {}, cols, {}, stop);
   }
-  GroupKeyEncoder encoder(table, cols);
-  std::unordered_map<std::string, bool> seen;
-  auto out = std::make_shared<Table>(Schema::Make(std::move(out_fields)));
-  std::string key;
-  for (int64_t row = 0; row < table.num_rows(); ++row) {
-    if ((row & (kStopCheckStride - 1)) == 0) CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-    key.clear();
-    encoder.EncodeRow(row, &key);
-    if (seen.emplace(key, true).second) {
-      CAPE_RETURN_IF_ERROR(out->AppendRow(table.GetRowProjection(row, cols)));
-    }
-  }
+  // Distinct over zero columns: one empty row iff the table is non-empty.
+  // (The fused kernel's no-group shape always emits a row, so this edge is
+  // handled here.)
+  auto out = std::make_shared<Table>(Schema::Make({}));
+  if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
+  if (table.num_rows() > 0) CAPE_RETURN_IF_ERROR(out->AppendRow(Row{}));
   return out;
 }
 
 namespace {
 
-/// Typed row comparison on one column, NULL-first, no Value boxing.
+/// Typed row comparison on one numeric column, NULL-first, no Value boxing.
+/// (String keys compare as dictionary ranks in SortTable.)
 int CompareCells(const Column& col, int64_t a, int64_t b) {
   const bool a_null = col.IsNull(a);
   const bool b_null = col.IsNull(b);
@@ -642,10 +357,8 @@ int CompareCells(const Column& col, int64_t a, int64_t b) {
       const double y = col.GetDouble(b);
       return x < y ? -1 : (x > y ? 1 : 0);
     }
-    case DataType::kString: {
-      const int cmp = col.GetString(a).compare(col.GetString(b));
-      return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-    }
+    case DataType::kString:
+      break;
   }
   return 0;
 }
@@ -660,15 +373,13 @@ Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
     return Status::NotImplemented("SortTable requires resident rows");
   }
   if (stop != nullptr && stop->ShouldStopNow()) return stop->ToStatus();
-  // With dictionary kernels on, each string sort key gets a sorted-code rank
-  // remap (ranks order exactly as the strings do), turning the O(n log n)
-  // comparison phase into pure integer compares for an O(d log d) setup cost.
+  // Each string sort key gets a sorted-code rank remap (ranks order exactly
+  // as the strings do), turning the O(n log n) comparison phase into pure
+  // integer compares for an O(d log d) setup cost.
   std::vector<std::vector<int32_t>> string_ranks(keys.size());
-  if (DictionaryKernelsEnabled()) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const Column& col = table.column(keys[i].col);
-      if (col.type() == DataType::kString) string_ranks[i] = col.SortedCodeRanks();
-    }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Column& col = table.column(keys[i].col);
+    if (col.type() == DataType::kString) string_ranks[i] = col.SortedCodeRanks();
   }
   std::vector<int64_t> order(static_cast<size_t>(table.num_rows()));
   std::iota(order.begin(), order.end(), 0);
@@ -679,7 +390,7 @@ Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
       int cmp;
       if (!string_ranks[i].empty()) {
         // NULL-first, then by rank; rank equality <=> code equality <=>
-        // string equality, so ties break identically to the legacy compare.
+        // string equality, so ties break exactly as string comparison would.
         const int32_t ca = col.GetCode(a);
         const int32_t cb = col.GetCode(b);
         if (ca < 0 || cb < 0) {
@@ -892,8 +603,8 @@ struct IncrementalGroupBy::Impl {
   std::vector<AggregateSpec> aggs;
   GroupKeyEncoder encoder;
 
-  // Committed state, mirroring GroupByAggregate's generic path: groups in
-  // discovery order, collisions resolved by key comparison against
+  // Committed state, mirroring the grouping kernel's byte-keyed path: groups
+  // in discovery order, collisions resolved by key comparison against
   // group_keys. group_keys/representative_row also cover staged-new groups
   // (ids >= num_groups) while a fold is staged, so a later delta row folding
   // into a group created earlier in the same fold finds it by lookup.
@@ -1000,6 +711,8 @@ Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
                          static_cast<size_t>(end_row - im.rows_folded) / 4);
   const Table& table = *im.table;
   const size_t na = im.aggs.size();
+  // The table grows between folds, so its chunk views are taken per fold.
+  const std::vector<ColumnChunk> chunks = table.ResidentChunks();
   // Rows fold in blocks: the first pass encodes the block's keys and
   // prefetches their index slots, the second probes and updates — the
   // per-row random miss on the slot array overlaps across the block instead
@@ -1016,7 +729,7 @@ Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
     for (int64_t i = 0; i < count; ++i) {
       std::string& key = keys[static_cast<size_t>(i)];
       key.clear();
-      im.encoder.EncodeRow(base + i, &key);
+      im.encoder.EncodeRow(chunks.data(), base + i, &key);
       hashes[static_cast<size_t>(i)] = HashBytes(key.data(), key.size());
       im.group_index.Prefetch(hashes[static_cast<size_t>(i)]);
     }
@@ -1060,7 +773,7 @@ Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
         group_states = im.overlay_states.data() + im.overlay_slot[group] * na;
       }
       for (size_t a = 0; a < na; ++a) {
-        UpdateAggState(table, im.aggs[a], row, &group_states[a]);
+        UpdateAggState(table, im.aggs[a], chunks.data(), row, &group_states[a]);
       }
     }
   }

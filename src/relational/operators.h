@@ -46,7 +46,9 @@ struct AggregateSpec {
   }
 };
 
-/// SELECT group_cols, aggs FROM table GROUP BY group_cols.
+/// SELECT group_cols, aggs FROM table GROUP BY group_cols — the fused scan
+/// kernel (kernels.h) with no conditions, over resident and out-of-core
+/// tables alike.
 ///
 /// Hash aggregation; output rows appear in first-seen group order (stable,
 /// deterministic). NULL group keys form their own group (SQL semantics).
@@ -67,21 +69,27 @@ Result<TablePtr> GroupByAggregate(const Table& table,
                                   const std::vector<AggregateSpec>& aggs,
                                   StopToken* stop = nullptr);
 
-/// Rows satisfying `pred(row_index)`.
+/// Rows satisfying `pred(row_index)`. Resident tables only (an arbitrary
+/// row predicate has no page-at-a-time form); NotImplemented otherwise.
 Result<TablePtr> Filter(const Table& table, const std::function<bool(int64_t)>& pred,
                         StopToken* stop = nullptr);
 
 /// σ_{c1=v1 ∧ c2=v2 ∧ ...}: conjunctive equality selection, the shape used
-/// by retrieval queries Q_{P,f} (Section 2.2). NULL matches NULL.
+/// by retrieval queries Q_{P,f} (Section 2.2). NULL matches NULL. One
+/// chunk-driven scan for resident and out-of-core tables (kernels.cc); the
+/// selected rows are materialized into a resident table.
 Result<TablePtr> FilterEquals(const Table& table,
                               const std::vector<std::pair<int, Value>>& conditions,
                               StopToken* stop = nullptr);
 
-/// π over column indices (duplicates allowed, order preserved).
+/// π over column indices (duplicates allowed, order preserved). Resident
+/// tables only; NotImplemented otherwise.
 Result<TablePtr> Project(const Table& table, const std::vector<int>& cols,
                          StopToken* stop = nullptr);
 
-/// Distinct projection π_cols(R) — used for frag(R, P) enumeration.
+/// Distinct projection π_cols(R) — used for frag(R, P) enumeration. The
+/// fused kernel grouping on `cols` with no aggregates, so rows come out in
+/// first-seen order for either residency.
 Result<TablePtr> ProjectDistinct(const Table& table, const std::vector<int>& cols,
                                  StopToken* stop = nullptr);
 
@@ -91,9 +99,11 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// Stable multi-key sort; returns a new materialized table. The comparison
-/// phase is not interruptible (std::stable_sort); the stop token is checked
-/// before and after it and during row materialization.
+/// Stable multi-key sort; returns a new materialized table. String keys
+/// compare as sorted-dictionary ranks. The comparison phase is not
+/// interruptible (std::stable_sort); the stop token is checked before and
+/// after it. Resident tables only (the engine sorts small aggregated
+/// results, never base relations); NotImplemented otherwise.
 Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
                            StopToken* stop = nullptr);
 
@@ -120,42 +130,37 @@ Result<TablePtr> Cube(const Table& table, const std::vector<int>& cube_cols,
                       const std::vector<AggregateSpec>& aggs,
                       const CubeOptions& options = {}, StopToken* stop = nullptr);
 
-/// Process-wide switch for the dictionary-code kernels (DESIGN.md §10).
-/// When enabled (the default), group keys encode 4-byte dictionary codes,
-/// equality selections compare pre-translated codes, and sorts compare
-/// sorted-code ranks; when disabled every kernel falls back to the legacy
-/// per-row string/Value comparisons. Outputs are byte-identical either way
-/// (pinned by determinism_test); the switch exists for A/B benchmarking and
-/// that equivalence fixture. Not intended to be flipped mid-query.
-void SetDictionaryKernelsEnabled(bool enabled);
-bool DictionaryKernelsEnabled();
-
-/// Internal helper shared by operators and the FD detector: encodes the
-/// projection of row `row` onto `cols` into a byte string such that two rows
-/// encode equal iff their projections are equal (value- and null-aware).
+/// Encodes a row's projection onto `cols` into a byte string such that two
+/// rows of the same table encode equal iff their projections are equal
+/// (value- and null-aware; -0.0 canonicalizes to 0.0, NaN keys compare by
+/// bit pattern). Format: 0x00 for NULL, else 0x01 followed by a fixed-width
+/// payload — 8-byte int64/double, 4-byte dictionary code. The schema fixes
+/// each column's payload width and per-column encodings are prefix-free, so
+/// keys decode unambiguously. Codes are only unique within one column's
+/// dictionary, so keys compare only among rows of the same table.
 ///
-/// With dictionary kernels enabled, string cells encode as their fixed-width
-/// 4-byte dictionary code instead of length-prefixed bytes. Codes are only
-/// unique within one column, so encoded keys are comparable only among rows
-/// of the *same table* — which is the only way every consumer uses them.
+/// Rows are read from ColumnChunk arrays, one chunk per table column: a
+/// resident table's arrays or a pinned page of an out-of-core one. This is
+/// the key of the grouping kernels' byte-keyed fallback and of
+/// IncrementalGroupBy.
 class GroupKeyEncoder {
  public:
   GroupKeyEncoder(const Table& table, std::vector<int> cols);
 
-  /// Appends the encoding of row `row` to *buf (buf is not cleared).
-  void EncodeRow(int64_t row, std::string* buf) const;
+  /// Appends the encoding of view-local row `row` of `chunks` to *buf (buf
+  /// is not cleared).
+  void EncodeRow(const ColumnChunk* chunks, int64_t row, std::string* buf) const;
 
  private:
-  const Table& table_;
   std::vector<int> cols_;
-  bool use_codes_;
+  std::vector<DataType> types_;
 };
 
 /// Incrementally maintained GROUP BY: the stateful twin of GroupByAggregate
-/// for append-only tables. Holds per-group aggregate state keyed by the
-/// byte-encoded group key (GroupKeyEncoder semantics — value- and null-aware,
-/// -0.0 canonicalized; NaN keys compare by bit pattern) and folds newly
-/// appended rows without rescanning the prefix.
+/// for append-only resident tables. Holds per-group aggregate state keyed by
+/// the GroupKeyEncoder key and folds newly appended rows without rescanning
+/// the prefix. The table's column arrays move as it grows, so each fold
+/// takes fresh chunk views of them.
 ///
 /// Groups are numbered in first-seen row order, exactly as GroupByAggregate
 /// discovers them, and each group's state is produced by the same sequential
@@ -236,13 +241,15 @@ class IncrementalGroupBy {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Conjunctive equality predicate compiled once per condition set: string
-/// condition values are translated to dictionary codes (one hash lookup per
-/// condition, not per row) and numeric values to unboxed comparisons, so
-/// Matches() is pure integer/double compares. Semantics are exactly those of
+/// Conjunctive equality predicate over the rows of a resident table,
+/// compiled once per condition set: string condition values are translated
+/// to dictionary codes (one hash lookup per condition, not per row) and
+/// numeric values to unboxed comparisons, so Matches() is pure
+/// integer/double compares. Semantics are exactly those of
 /// `table.GetValue(row, col) == value` per condition (NULL matches NULL,
-/// cross-type numeric equality, NaN quirks included). With dictionary
-/// kernels disabled it falls back to boxed Value comparison per row.
+/// cross-type numeric equality, NaN quirks included). The scan kernels
+/// evaluate the same predicates a block at a time (kernels.cc); this is the
+/// one-row form for callers that test single rows.
 ///
 /// Holds a pointer into `table`; must not outlive it. Column indices must be
 /// validated by the caller.
@@ -263,15 +270,13 @@ class RowEqualityMatcher {
     kInt64,     // exact int64 equality
     kDoubleEq,  // numeric equality via !(x<v) && !(x>v) (Value::Compare's rule)
     kCode,      // string column: dictionary code equality
-    kBoxed,     // legacy fallback: boxed Value comparison
   };
   struct Cond {
     const Column* col = nullptr;
-    Kind kind = Kind::kBoxed;
+    Kind kind = Kind::kIsNull;
     int64_t i64 = 0;
     double f64 = 0.0;
     int32_t code = 0;
-    Value boxed;
   };
 
   std::vector<Cond> conds_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/result.h"
+#include "relational/column.h"
 
 namespace cape {
 
@@ -20,25 +21,14 @@ struct PageSourceStats {
   int64_t peak_bytes_pinned = 0;  ///< High-water mark of bytes_pinned.
 };
 
-/// One column's slice of a pinned page, laid out exactly like the
-/// corresponding Column arrays (column.h): the block kernels index these
-/// pointers with page-local row offsets, so a pinned page is handed to the
-/// 2048-row block loops zero-copy. Pointers for the non-matching types are
-/// null; `validity` is always populated (pages store it unconditionally),
-/// and `null_count` lets kernels keep their no-null fast paths.
-struct ColumnChunk {
-  const uint8_t* validity = nullptr;
-  const int64_t* i64 = nullptr;
-  const double* f64 = nullptr;
-  const int32_t* codes = nullptr;
-  int64_t null_count = 0;  ///< NULL slots within this chunk only.
-};
-
-/// A pinned page: the global row range it covers plus one ColumnChunk per
-/// table column. Valid only while the owning PageRef is alive.
+/// A run of a table's rows as the scan kernels see it: the global row range
+/// it covers plus one ColumnChunk per table column (same layout as the
+/// Column arrays, indexed with view-local row offsets). A pinned page is
+/// valid only while the owning PageRef is alive; a resident table's rows
+/// form one view over its column arrays.
 struct PageView {
   int64_t row_begin = 0;
-  int row_count = 0;
+  int64_t row_count = 0;
   const ColumnChunk* cols = nullptr;
 };
 
@@ -120,14 +110,6 @@ class PageSource {
   /// Drops the pin identified by `cookie` (issued by Pin).
   virtual void Unpin(uint64_t cookie) = 0;
 };
-
-/// Process-wide toggle routing scans of page-backed *resident* tables
-/// through the paged path, for A/B benchmarking and the paged-vs-in-memory
-/// equivalence fixtures (mirrors SetDictionaryKernelsEnabled /
-/// SetVectorizedKernelsEnabled). Tables whose rows exist only in a heap
-/// file always scan paged regardless of this toggle. Default: enabled.
-void SetPagedStorageEnabled(bool enabled);
-bool PagedStorageEnabled();
 
 }  // namespace cape
 

@@ -80,16 +80,9 @@ void Table::Reserve(int64_t capacity) {
 }
 
 Status Table::AppendRowsFrom(const Table& src, const std::vector<int64_t>& rows) {
-  if (page_source_ != nullptr) {
-    return Status::InvalidArgument("cannot append to a paged table");
-  }
   if (!src.rows_resident()) {
     return Status::InvalidArgument(
-        "AppendRowsFrom from a non-resident paged table (use the paged operators)");
-  }
-  if (src.schema() != schema_ && !(*src.schema() == *schema_)) {
-    return Status::InvalidArgument("AppendRowsFrom requires matching schemas: " +
-                                   src.schema()->ToString() + " vs " + schema_->ToString());
+        "AppendRowsFrom from a non-resident paged table (use the scan operators)");
   }
   // analyzer:allow-next-line(cancellation) bounds pre-check; ingestion callers batch
   for (int64_t row : rows) {
@@ -97,11 +90,32 @@ Status Table::AppendRowsFrom(const Table& src, const std::vector<int64_t>& rows)
       return Status::OutOfRange("row index " + std::to_string(row) + " out of range");
     }
   }
-  for (int c = 0; c < num_columns(); ++c) {
-    columns_[static_cast<size_t>(c)].AppendManyFrom(src.column(c), rows);
+  const std::vector<ColumnChunk> chunks = src.ResidentChunks();
+  const PageView view{0, src.num_rows(), chunks.data()};
+  return AppendRowsFrom(src, view, rows.data(), static_cast<int64_t>(rows.size()));
+}
+
+Status Table::AppendRowsFrom(const Table& src, const PageView& view, const int64_t* rows,
+                             int64_t n) {
+  if (page_source_ != nullptr) {
+    return Status::InvalidArgument("cannot append to a paged table");
   }
-  num_rows_ += static_cast<int64_t>(rows.size());
+  if (src.schema() != schema_ && !(*src.schema() == *schema_)) {
+    return Status::InvalidArgument("AppendRowsFrom requires matching schemas: " +
+                                   src.schema()->ToString() + " vs " + schema_->ToString());
+  }
+  for (int c = 0; c < num_columns(); ++c) {
+    columns_[static_cast<size_t>(c)].AppendManyFrom(view.cols[c], src.column(c), rows, n);
+  }
+  num_rows_ += n;
   return Status::OK();
+}
+
+std::vector<ColumnChunk> Table::ResidentChunks() const {
+  std::vector<ColumnChunk> chunks;
+  chunks.reserve(columns_.size());
+  for (const Column& col : columns_) chunks.push_back(col.chunk());
+  return chunks;
 }
 
 Row Table::GetRow(int64_t row) const {
@@ -169,7 +183,7 @@ Status Table::Validate() const {
   for (int i = 0; i < num_columns(); ++i) {
     // Non-resident paged tables keep columns row-free: num_rows_ counts
     // heap-file rows, the columns hold only dictionaries and paged stats.
-    const int64_t want = rows_resident_ ? num_rows_ : 0;
+    const int64_t want = rows_resident() ? num_rows_ : 0;
     if (columns_[static_cast<size_t>(i)].size() != want) {
       return Status::Internal("column " + std::to_string(i) + " has " +
                               std::to_string(columns_[static_cast<size_t>(i)].size()) +
@@ -182,28 +196,18 @@ Status Table::Validate() const {
   return Status::OK();
 }
 
-Status Table::AttachPageSource(std::shared_ptr<PageSource> source, bool rows_resident) {
+Status Table::AttachPageSource(std::shared_ptr<PageSource> source) {
   if (source == nullptr) {
     return Status::InvalidArgument("AttachPageSource requires a source");
   }
   if (page_source_ != nullptr) {
     return Status::InvalidArgument("table already has a page source");
   }
-  if (rows_resident) {
-    if (source->num_rows() != num_rows_) {
-      return Status::InvalidArgument(
-          "resident page source covers " + std::to_string(source->num_rows()) +
-          " rows, table has " + std::to_string(num_rows_));
-    }
-  } else {
-    if (num_rows_ != 0) {
-      return Status::InvalidArgument(
-          "non-resident page source requires an empty table");
-    }
-    num_rows_ = source->num_rows();
+  if (num_rows_ != 0) {
+    return Status::InvalidArgument("a page source requires an empty table");
   }
+  num_rows_ = source->num_rows();
   page_source_ = std::move(source);
-  rows_resident_ = rows_resident;
   return Status::OK();
 }
 
@@ -211,7 +215,7 @@ uint64_t Table::Fingerprint() const {
   Fnv64 h;
   h.UpdateU64(schema_->Digest());
   h.UpdateI64(num_rows_);
-  if (!rows_resident_) {
+  if (!rows_resident()) {
     // Rows live in the heap file; the writer's digest covers them (plus
     // validity and dictionaries), so it is the content under this schema.
     h.UpdateU64(page_source_->content_digest());

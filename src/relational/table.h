@@ -16,10 +16,12 @@ namespace cape {
 /// A materialized row: one Value per schema field.
 using Row = std::vector<Value>;
 
-/// An immutable-by-convention, in-memory columnar relation.
+/// An immutable-by-convention columnar relation.
 ///
 /// Tables are built by appending rows (or via operators in operators.h)
-/// and then treated as read-only; they are shared via shared_ptr.
+/// and then treated as read-only; they are shared via shared_ptr. A table's
+/// rows are resident in its columns, or — for an out-of-core table opened
+/// with OpenPagedTable — only in a heap file behind page_source().
 class Table {
  public:
   explicit Table(std::shared_ptr<Schema> schema);
@@ -57,12 +59,24 @@ class Table {
   /// Pre-sizes all columns.
   void Reserve(int64_t capacity);
 
-  /// Bulk-appends the given rows of `src`, which must share this table's
-  /// schema (by pointer or by equality). Column-at-a-time, no Value boxing
-  /// — the fast path for selection, sorting and limits.
+  /// Bulk-appends the given rows of `src`, which must be resident and share
+  /// this table's schema (by pointer or by equality). Column-at-a-time, no
+  /// Value boxing — the fast path for sorting and limits.
   Status AppendRowsFrom(const Table& src, const std::vector<int64_t>& rows);
 
+  /// AppendRowsFrom for view-local rows rows[0..n) of `view`, a view of
+  /// `src`'s rows: its resident arrays or one of its pinned pages. The
+  /// output is the same whichever residency `src` has — strings intern in
+  /// first-appearance order, NULL slots store 0 / 0.0 / -1.
+  Status AppendRowsFrom(const Table& src, const PageView& view, const int64_t* rows,
+                        int64_t n);
+
   Value GetValue(int64_t row, int col) const { return column(col).GetValue(row); }
+
+  /// One ColumnChunk per column over all resident rows (Column::chunk()):
+  /// the single view a scan takes of a resident table. Valid until the
+  /// table next grows.
+  std::vector<ColumnChunk> ResidentChunks() const;
 
   /// Materializes row `row` as a vector of Values.
   Row GetRow(int64_t row) const;
@@ -95,30 +109,20 @@ class Table {
   /// content digest instead of the (absent) columns.
   uint64_t Fingerprint() const;
 
-  /// Attaches a paged row source (storage/paged_table.h).
-  ///
-  /// With rows_resident=false the table must be empty: its row count comes
+  /// Attaches the heap-file row source of an out-of-core table
+  /// (storage/paged_table.h). The table must be empty: its row count comes
   /// from the source, its columns stay row-free (dictionaries and paged
-  /// stats only), and every scan goes page-at-a-time. With
-  /// rows_resident=true the source must cover exactly this table's rows —
-  /// the A/B shape where SetPagedStorageEnabled chooses in-memory vs paged
-  /// scans over the same logical data.
-  Status AttachPageSource(std::shared_ptr<PageSource> source, bool rows_resident);
+  /// stats only), and every scan goes page by page.
+  Status AttachPageSource(std::shared_ptr<PageSource> source);
 
   /// The attached page source, or null. Shared so engine stats can snapshot
   /// cache counters while scans hold pins.
   const std::shared_ptr<PageSource>& page_source() const { return page_source_; }
 
-  /// True when this table's rows are materialized in its columns (always
-  /// true without a page source).
-  bool rows_resident() const { return rows_resident_; }
-
-  /// True when scans of this table must take the paged path: rows exist
-  /// only in the heap file, or a resident A/B table with the process-wide
-  /// paged toggle on.
-  bool UsesPagedScan() const {
-    return page_source_ != nullptr && (!rows_resident_ || PagedStorageEnabled());
-  }
+  /// True when this table's rows are materialized in its columns; false for
+  /// an out-of-core table, whose rows exist only behind page_source() and
+  /// whose scans go page by page.
+  bool rows_resident() const { return page_source_ == nullptr; }
 
  private:
   /// Cached incremental fingerprint state: one running per-column Fnv64 over
@@ -138,7 +142,6 @@ class Table {
   std::vector<Column> columns_;
   int64_t num_rows_ = 0;
   std::shared_ptr<PageSource> page_source_;
-  bool rows_resident_ = true;
   std::unique_ptr<FingerprintCell> fingerprint_cell_;
 };
 

@@ -48,20 +48,13 @@ class PagedTable : public PageSource {
   BufferManager buffers_;
 };
 
-/// Opens a heap file as a *non-resident* table: rows stay on disk, the
-/// table's columns carry only the file dictionaries (so predicate codes and
-/// kernel key plans resolve) and the file-global stats (so
-/// null_count/Min/Max answer in O(1)). `budget_bytes` caps the page cache —
-/// an out-of-core scan works with any budget, down to a single page.
+/// Opens a heap file as an out-of-core table: rows stay on disk and every
+/// scan goes page by page through the buffer manager. The table's columns
+/// carry only the file dictionaries (so predicate codes and kernel key plans
+/// resolve) and the file-global stats (so null_count/Min/Max answer in
+/// O(1)). `budget_bytes` caps the page cache — an out-of-core scan works
+/// with any budget, down to a single page.
 Result<TablePtr> OpenPagedTable(const std::string& path, int64_t budget_bytes);
-
-/// Attaches a heap file to a fully in-memory table as its *resident* page
-/// source — the A/B shape: the file must hold exactly the table's rows (use
-/// WriteTableToHeapFile on the same table) so SetPagedStorageEnabled
-/// switches scans between the in-memory arrays and the paged path over
-/// identical data. Schema, row count, and per-column dictionaries must
-/// match (codes in pages are interpreted against the table's dictionary).
-Status AttachHeapFile(Table& table, const std::string& path, int64_t budget_bytes);
 
 }  // namespace cape
 

@@ -1,7 +1,8 @@
 // Out-of-core storage tests (DESIGN.md §15): heap-file round trips, buffer
 // manager pin/unpin and eviction invariants under byte budgets, corruption
-// and failpoint degradation, and paged-vs-in-memory operator identity —
-// including the Engine-level page counters the server STATS verb reports.
+// and failpoint degradation, and paged-vs-in-memory operator and miner
+// identity — including the Engine-level page counters the server STATS verb
+// reports.
 
 #include <gtest/gtest.h>
 
@@ -39,17 +40,6 @@ class TempFile {
 
  private:
   std::string path_;
-};
-
-class PagedModeGuard {
- public:
-  explicit PagedModeGuard(bool enabled) : saved_(PagedStorageEnabled()) {
-    SetPagedStorageEnabled(enabled);
-  }
-  ~PagedModeGuard() { SetPagedStorageEnabled(saved_); }
-
- private:
-  bool saved_;
 };
 
 /// Deterministic mixed-type table spanning several 2048-row pages: a skewed
@@ -219,7 +209,6 @@ TEST(BufferManagerTest, PinUnpinMaintainsCountersAndViews) {
   const int64_t page_bytes = source->heap_file()->page_bytes();
 
   EXPECT_FALSE((*paged)->rows_resident());
-  EXPECT_TRUE((*paged)->UsesPagedScan());
   EXPECT_EQ(source->num_pages(), 3);
   EXPECT_EQ(source->rows_per_page(), kRowsPerPage);
 
@@ -396,35 +385,6 @@ TEST(BufferManagerTest, PagedScanMatchesInMemoryOperatorsByteForByte) {
   }
 }
 
-TEST(BufferManagerTest, AttachHeapFileValidatesAndTogglesResidentScans) {
-  TablePtr table = MakeMixedTable(5000);
-  TempFile file("cape_bm_attach.cape");
-  ASSERT_TRUE(WriteTableToHeapFile(*table, file.path(), kRowsPerPage).ok());
-
-  // A different table (row count mismatch) must be rejected.
-  TablePtr other = MakeMixedTable(4000);
-  EXPECT_FALSE(AttachHeapFile(*other, file.path(), 1 << 20).ok());
-
-  ASSERT_TRUE(AttachHeapFile(*table, file.path(), 1 << 20).ok());
-  EXPECT_TRUE(table->rows_resident());
-
-  // A/B: the process toggle flips the same resident table between the
-  // in-memory arrays and the paged path; outputs are byte-identical and the
-  // paged mode provably went through the buffer manager.
-  std::string rendered[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    PagedModeGuard guard(mode == 1);
-    EXPECT_EQ(table->UsesPagedScan(), mode == 1);
-    auto grouped = GroupByAggregate(*table, std::vector<int>{0, 3},
-                                    {AggregateSpec::CountStar("n"),
-                                     AggregateSpec::Sum(2, "val_sum")});
-    ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
-    rendered[mode] = WriteCsvString(**grouped);
-  }
-  EXPECT_EQ(rendered[0], rendered[1]);
-  EXPECT_GT(table->page_source()->stats().misses, 0);
-}
-
 TEST(BufferManagerTest, EngineRunStatsExposePageCountersAndMiningMatches) {
   CrimeOptions options;
   options.num_rows = 6000;
@@ -471,6 +431,45 @@ TEST(BufferManagerTest, EngineRunStatsExposePageCountersAndMiningMatches) {
   const std::string from_paged = SerializePatternSet(engine->patterns(), engine->schema());
   EXPECT_EQ(from_paged, mine(*in_memory));
   EXPECT_FALSE(from_paged.empty());
+}
+
+TEST(BufferManagerTest, PagedArpMineWithFdsMatchesResident) {
+  // Crime's community -> district is an FD between two int64 attributes.
+  // ARP-MINE seeds single-attribute cardinalities before its first level;
+  // an out-of-core table's numeric columns hold no rows, so the seed must
+  // come from a scan, or the FD (and every skip it licenses) goes missing.
+  CrimeOptions options;
+  options.num_rows = 8192;
+  options.num_attrs = 7;
+  auto resident = GenerateCrime(options);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  TempFile file("cape_bm_arp_fds.cape");
+  ASSERT_TRUE(WriteTableToHeapFile(**resident, file.path(), kRowsPerPage).ok());
+  auto paged = OpenPagedTable(file.path(), /*budget_bytes=*/1 << 18);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+
+  MiningConfig config;
+  config.max_pattern_size = 3;
+  config.local_gof_threshold = 0.2;
+  config.local_support_threshold = 3;
+  config.global_confidence_threshold = 0.2;
+  config.global_support_threshold = 10;
+  config.agg_functions = {AggFunc::kCount};
+  config.use_fd_optimizations = true;
+
+  auto want = MakeArpMiner()->Mine(**resident, config);
+  auto got = MakeArpMiner()->Mine(**paged, config);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const Schema& schema = *(*resident)->schema();
+  const int community = schema.GetFieldIndex("community");
+  const int district = schema.GetFieldIndex("district");
+  EXPECT_TRUE(want->fds.Implies(AttrSet::Single(community), district));
+  EXPECT_TRUE(got->fds.Implies(AttrSet::Single(community), district));
+  EXPECT_EQ(got->fds.size(), want->fds.size());
+  EXPECT_EQ(SerializePatternSet(got->patterns, schema),
+            SerializePatternSet(want->patterns, schema));
+  EXPECT_GT(want->patterns.size(), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include "common/cancellation.h"
 #include "core/engine.h"
 #include "datagen/dblp.h"
-#include "fd/fd_detector.h"
 #include "pattern/mining.h"
 #include "relational/catalog.h"
 #include "relational/operators.h"
@@ -112,8 +111,6 @@ TEST(OperatorStopTest, ExpiredDeadlineStopsEveryOperator) {
   EXPECT_TRUE(ProjectDistinct(t, {0}, &expired).status().IsDeadlineExceeded());
   EXPECT_TRUE(SortTable(t, {SortKey{0, true}}, &expired).status().IsDeadlineExceeded());
   EXPECT_TRUE(Cube(t, {0, 2}, {count}, {}, &expired).status().IsDeadlineExceeded());
-  EXPECT_TRUE(
-      FdDetector::CountGroups(t, AttrSet::Single(0), &expired).status().IsDeadlineExceeded());
 }
 
 // ---------------------------------------------------------------------------

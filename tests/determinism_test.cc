@@ -11,7 +11,6 @@
 #include "datagen/crime.h"
 #include "datagen/dblp.h"
 #include "pattern/pattern_io.h"
-#include "relational/kernels.h"
 #include "relational/operators.h"
 
 namespace cape {
@@ -281,175 +280,6 @@ TEST(ParallelEquivalenceTest, TruncatedParallelExplainIsSubsetOfUntimed) {
       auto it = best_scores.find(ExplanationKey(e));
       ASSERT_NE(it, best_scores.end()) << "tuple absent from untimed run";
       EXPECT_GE(it->second, e.score);
-    }
-  }
-}
-
-/// Dictionary-kernel equivalence: the dictionary-code kernels (DESIGN.md
-/// §10) are a pure representation change. Mining and explanation output must
-/// be byte-identical to the legacy string-comparison path at every thread
-/// count — the legacy path *is* the pre-encoding engine, kept behind the
-/// process-wide switch exactly so this fixture can pin the equivalence.
-
-class DictionaryVsLegacyTest : public ::testing::Test {
- protected:
-  void SetUp() override { saved_ = DictionaryKernelsEnabled(); }
-  void TearDown() override { SetDictionaryKernelsEnabled(saved_); }
-
- private:
-  bool saved_ = true;
-};
-
-TEST_F(DictionaryVsLegacyTest, MiningIsByteIdenticalAcrossThreadCounts) {
-  for (const char* miner : {"CUBE", "SHARE-GRP", "ARP-MINE"}) {
-    SetDictionaryKernelsEnabled(false);
-    Engine legacy = MakeEngine(5);
-    legacy.mining_config().num_threads = 1;
-    ASSERT_TRUE(legacy.MinePatterns(miner).ok());
-    const std::string expected = SerializePatternSet(legacy.patterns(), legacy.schema());
-
-    SetDictionaryKernelsEnabled(true);
-    for (int threads : {1, 2, 4, 8}) {
-      Engine engine = MakeEngine(5);
-      engine.mining_config().num_threads = threads;
-      ASSERT_TRUE(engine.MinePatterns(miner).ok());
-      EXPECT_EQ(SerializePatternSet(engine.patterns(), engine.schema()), expected)
-          << miner << " with dictionary kernels, " << threads << " threads";
-    }
-  }
-}
-
-TEST_F(DictionaryVsLegacyTest, ExplanationsAreByteIdenticalAcrossThreadCounts) {
-  SetDictionaryKernelsEnabled(false);
-  Engine legacy = MakeEngine(5);
-  ASSERT_TRUE(legacy.MinePatterns().ok());
-  auto lq = legacy.MakeQuestion({"author", "venue", "year"},
-                                {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                 Value::Int64(2007)},
-                                AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(lq.ok());
-  legacy.explain_config().num_threads = 1;
-  auto reference = legacy.Explain(*lq);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->explanations.empty());
-
-  SetDictionaryKernelsEnabled(true);
-  Engine engine = MakeEngine(5);
-  ASSERT_TRUE(engine.MinePatterns().ok());
-  auto q = engine.MakeQuestion({"author", "venue", "year"},
-                               {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                Value::Int64(2007)},
-                               AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(q.ok());
-  for (bool optimized : {false, true}) {
-    legacy.explain_config().num_threads = 1;
-    SetDictionaryKernelsEnabled(false);
-    auto want_result = legacy.Explain(*lq, optimized);
-    SetDictionaryKernelsEnabled(true);
-    ASSERT_TRUE(want_result.ok());
-    for (int threads : {1, 2, 4, 8}) {
-      engine.explain_config().num_threads = threads;
-      auto got_result = engine.Explain(*q, optimized);
-      ASSERT_TRUE(got_result.ok());
-      ASSERT_EQ(got_result->explanations.size(), want_result->explanations.size())
-          << threads << " threads, optimized=" << optimized;
-      for (size_t i = 0; i < got_result->explanations.size(); ++i) {
-        const Explanation& got = got_result->explanations[i];
-        const Explanation& want = want_result->explanations[i];
-        // Bit-exact: the code kernels must score the same candidates with
-        // the same floating-point operations as the legacy path.
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.tuple_values, want.tuple_values);
-        EXPECT_EQ(got.relevant_pattern, want.relevant_pattern);
-        EXPECT_EQ(got.refinement_pattern, want.refinement_pattern);
-        EXPECT_EQ(got.deviation, want.deviation);
-        EXPECT_EQ(got.distance, want.distance);
-      }
-    }
-  }
-}
-
-/// Vectorized-kernel equivalence (DESIGN.md §14): the block/morsel kernels
-/// are a pure execution-strategy change. Mining with every algorithm and
-/// explanation with both generators must be byte-identical to the
-/// row-at-a-time legacy path at every thread count — the legacy path is kept
-/// behind SetVectorizedKernelsEnabled exactly so this fixture can pin the
-/// equivalence.
-
-class VectorizedVsLegacyTest : public ::testing::Test {
- protected:
-  void SetUp() override { saved_ = VectorizedKernelsEnabled(); }
-  void TearDown() override { SetVectorizedKernelsEnabled(saved_); }
-
- private:
-  bool saved_ = true;
-};
-
-TEST_F(VectorizedVsLegacyTest, MiningIsByteIdenticalAcrossThreadCounts) {
-  for (const char* miner : {"CUBE", "SHARE-GRP", "ARP-MINE"}) {
-    SetVectorizedKernelsEnabled(false);
-    Engine legacy = MakeEngine(5);
-    legacy.mining_config().num_threads = 1;
-    ASSERT_TRUE(legacy.MinePatterns(miner).ok());
-    const std::string expected = SerializePatternSet(legacy.patterns(), legacy.schema());
-
-    SetVectorizedKernelsEnabled(true);
-    for (int threads : {1, 2, 4, 8}) {
-      Engine engine = MakeEngine(5);
-      engine.mining_config().num_threads = threads;
-      ASSERT_TRUE(engine.MinePatterns(miner).ok());
-      EXPECT_EQ(SerializePatternSet(engine.patterns(), engine.schema()), expected)
-          << miner << " with vectorized kernels, " << threads << " threads";
-    }
-  }
-}
-
-TEST_F(VectorizedVsLegacyTest, ExplanationsAreByteIdenticalAcrossThreadCounts) {
-  SetVectorizedKernelsEnabled(false);
-  Engine legacy = MakeEngine(5);
-  ASSERT_TRUE(legacy.MinePatterns().ok());
-  auto lq = legacy.MakeQuestion({"author", "venue", "year"},
-                                {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                 Value::Int64(2007)},
-                                AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(lq.ok());
-  legacy.explain_config().num_threads = 1;
-  auto reference = legacy.Explain(*lq);
-  ASSERT_TRUE(reference.ok());
-  ASSERT_FALSE(reference->explanations.empty());
-
-  SetVectorizedKernelsEnabled(true);
-  Engine engine = MakeEngine(5);
-  ASSERT_TRUE(engine.MinePatterns().ok());
-  auto q = engine.MakeQuestion({"author", "venue", "year"},
-                               {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-                                Value::Int64(2007)},
-                               AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(q.ok());
-  for (bool optimized : {false, true}) {
-    SetVectorizedKernelsEnabled(false);
-    legacy.explain_config().num_threads = 1;
-    auto want_result = legacy.Explain(*lq, optimized);
-    SetVectorizedKernelsEnabled(true);
-    ASSERT_TRUE(want_result.ok());
-    for (int threads : {1, 2, 4, 8}) {
-      engine.explain_config().num_threads = threads;
-      auto got_result = engine.Explain(*q, optimized);
-      ASSERT_TRUE(got_result.ok());
-      ASSERT_EQ(got_result->explanations.size(), want_result->explanations.size())
-          << threads << " threads, optimized=" << optimized;
-      for (size_t i = 0; i < got_result->explanations.size(); ++i) {
-        const Explanation& got = got_result->explanations[i];
-        const Explanation& want = want_result->explanations[i];
-        // Bit-exact: the block kernels must score the same candidates with
-        // the same floating-point operations as the row-at-a-time path.
-        EXPECT_EQ(got.score, want.score);
-        EXPECT_EQ(got.tuple_values, want.tuple_values);
-        EXPECT_EQ(got.relevant_pattern, want.relevant_pattern);
-        EXPECT_EQ(got.refinement_pattern, want.refinement_pattern);
-        EXPECT_EQ(got.deviation, want.deviation);
-        EXPECT_EQ(got.distance, want.distance);
-      }
     }
   }
 }

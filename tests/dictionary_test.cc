@@ -4,25 +4,13 @@
 #include <string>
 #include <vector>
 
+#include "reference_eval.h"
 #include "relational/csv.h"
 #include "relational/operators.h"
 #include "relational/table.h"
 
 namespace cape {
 namespace {
-
-/// Restores the dictionary-kernel switch on scope exit so a failing test
-/// cannot leak legacy mode into the rest of the suite.
-class KernelModeGuard {
- public:
-  explicit KernelModeGuard(bool enabled) : saved_(DictionaryKernelsEnabled()) {
-    SetDictionaryKernelsEnabled(enabled);
-  }
-  ~KernelModeGuard() { SetDictionaryKernelsEnabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 TEST(DictionaryTest, FirstAppearanceCodesAndNullInterleaving) {
   Column col(DataType::kString);
@@ -175,44 +163,34 @@ TEST(DictionaryTest, FilterEqualsShortCircuitsOnAbsentValue) {
   EXPECT_EQ((*nulls)->num_rows(), 1);
 }
 
-TEST(DictionaryTest, KernelsAndLegacyAgreeOnFilterGroupSortDistinct) {
+TEST(DictionaryTest, KernelsMatchReferenceOnFilterGroupSortDistinct) {
+  // The code kernels against string-level definitions: the reference
+  // evaluator compares boxed Values, never dictionary codes.
   TablePtr table = MakeCityTable();
-  const std::vector<std::pair<int, Value>> conditions = {{1, Value::String("a")}};
+  const reference::Conditions conditions = {{1, Value::String("a")}};
   const std::vector<SortKey> keys = {{0, true}, {2, false}};
   const std::vector<AggregateSpec> aggs = {AggregateSpec::CountStar("n"),
                                            AggregateSpec::Sum(2, "pop_sum")};
-
-  std::string filtered[2], grouped[2], sorted[2], distinct[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    KernelModeGuard guard(mode == 0);
-    auto f = FilterEquals(*table, conditions);
-    auto g = GroupByAggregate(*table, std::vector<int>{0, 1}, aggs);
-    auto s = SortTable(*table, keys);
-    auto d = ProjectDistinct(*table, {0});
-    ASSERT_TRUE(f.ok() && g.ok() && s.ok() && d.ok());
-    filtered[mode] = WriteCsvString(**f);
-    grouped[mode] = WriteCsvString(**g);
-    sorted[mode] = WriteCsvString(**s);
-    distinct[mode] = WriteCsvString(**d);
-  }
-  EXPECT_EQ(filtered[0], filtered[1]);
-  EXPECT_EQ(grouped[0], grouped[1]);
-  EXPECT_EQ(sorted[0], sorted[1]);
-  EXPECT_EQ(distinct[0], distinct[1]);
+  auto f = FilterEquals(*table, conditions);
+  auto g = GroupByAggregate(*table, std::vector<int>{0, 1}, aggs);
+  auto s = SortTable(*table, keys);
+  auto d = ProjectDistinct(*table, {0});
+  ASSERT_TRUE(f.ok() && g.ok() && s.ok() && d.ok());
+  EXPECT_TRUE(reference::SameRows(**f, reference::Select(*table, conditions)));
+  EXPECT_TRUE(reference::SameRows(**g, reference::GroupBy(*table, {}, {0, 1}, aggs)));
+  EXPECT_TRUE(reference::SameRows(**s, reference::Sort(*table, keys)));
+  EXPECT_TRUE(reference::SameRows(**d, reference::Distinct(*table, {0})));
 }
 
-TEST(DictionaryTest, SortOrdersStringsNullsFirstBothModes) {
+TEST(DictionaryTest, SortOrdersStringsNullsFirst) {
   TablePtr table = MakeCityTable();
-  for (bool enabled : {true, false}) {
-    KernelModeGuard guard(enabled);
-    auto sorted = SortTable(*table, {{0, true}});
-    ASSERT_TRUE(sorted.ok());
-    ASSERT_EQ((*sorted)->num_rows(), 8);
-    EXPECT_TRUE((*sorted)->GetValue(0, 0).is_null());
-    std::vector<std::string> got;
-    for (int64_t r = 1; r < 8; ++r) got.push_back((*sorted)->GetValue(r, 0).string_value());
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-  }
+  auto sorted = SortTable(*table, {{0, true}});
+  ASSERT_TRUE(sorted.ok());
+  ASSERT_EQ((*sorted)->num_rows(), 8);
+  EXPECT_TRUE((*sorted)->GetValue(0, 0).is_null());
+  std::vector<std::string> got;
+  for (int64_t r = 1; r < 8; ++r) got.push_back((*sorted)->GetValue(r, 0).string_value());
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
 TEST(DictionaryTest, RowEqualityMatcherCompilesConditionKinds) {

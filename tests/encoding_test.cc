@@ -38,9 +38,10 @@ TEST_P(GroupKeyEncoderFuzz, KeysEqualIffProjectionsEqual) {
 
   const std::vector<int> cols = {0, 2, 1};
   GroupKeyEncoder encoder(*table, cols);
+  const std::vector<ColumnChunk> chunks = table->ResidentChunks();
   std::vector<std::string> keys(static_cast<size_t>(table->num_rows()));
   for (int64_t r = 0; r < table->num_rows(); ++r) {
-    encoder.EncodeRow(r, &keys[static_cast<size_t>(r)]);
+    encoder.EncodeRow(chunks.data(), r, &keys[static_cast<size_t>(r)]);
   }
   for (int64_t a = 0; a < table->num_rows(); a += 7) {
     for (int64_t b = a; b < table->num_rows(); b += 11) {
@@ -62,10 +63,11 @@ TEST(GroupKeyEncoderTest, StringBoundariesDoNotCollide) {
   ASSERT_TRUE(table->AppendRow({Value::String("ab"), Value::String("c")}).ok());
   ASSERT_TRUE(table->AppendRow({Value::String("a"), Value::String("bc")}).ok());
   GroupKeyEncoder encoder(*table, {0, 1});
+  const std::vector<ColumnChunk> chunks = table->ResidentChunks();
   std::string k0;
   std::string k1;
-  encoder.EncodeRow(0, &k0);
-  encoder.EncodeRow(1, &k1);
+  encoder.EncodeRow(chunks.data(), 0, &k0);
+  encoder.EncodeRow(chunks.data(), 1, &k1);
   EXPECT_NE(k0, k1);
 }
 

@@ -11,7 +11,6 @@
 #include "core/engine.h"
 #include "core/pattern_cache.h"
 #include "datagen/dblp.h"
-#include "fd/fd_detector.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
 #include "relational/catalog.h"
@@ -61,63 +60,73 @@ TEST(FailpointTest, UnknownSiteIsRejected) {
   EXPECT_FALSE(failpoint::AnyActive());
 }
 
-TEST(FailpointTest, SkipAndCountSemantics) {
+/// A SELECT over a small DBLP table: each Run() passes the `sql.execute`
+/// site exactly once.
+struct SqlProbe {
+  Catalog catalog;
+  SelectQuery select;
+
+  Status Run() const { return ExecuteSelect(catalog, select).status(); }
+};
+
+SqlProbe MakeSqlProbe() {
   DblpOptions options;
   options.num_rows = 200;
   auto table = GenerateDblp(options);
-  ASSERT_TRUE(table.ok());
+  EXPECT_TRUE(table.ok());
+  SqlProbe probe;
+  EXPECT_TRUE(probe.catalog.RegisterTable("pub", *table).ok());
+  auto select = ParseSelect("SELECT venue, count(*) FROM pub GROUP BY venue;");
+  EXPECT_TRUE(select.ok());
+  probe.select = std::move(select).ValueOrDie();
+  return probe;
+}
+
+TEST(FailpointTest, SkipAndCountSemantics) {
+  const SqlProbe probe = MakeSqlProbe();
 
   // First hit passes (skip=1), second fails (count=1), third passes again.
-  ASSERT_TRUE(failpoint::Activate("fd.count_groups", StatusCode::kIOError, "boom",
+  ASSERT_TRUE(failpoint::Activate("sql.execute", StatusCode::kIOError, "boom",
                                   /*skip=*/1, /*count=*/1)
                   .ok());
-  EXPECT_TRUE(FdDetector::CountGroups(**table, AttrSet::Single(0)).ok());
-  auto second = FdDetector::CountGroups(**table, AttrSet::Single(0));
-  EXPECT_TRUE(second.status().IsIOError());
-  EXPECT_EQ(second.status().message(), "boom");
-  EXPECT_TRUE(FdDetector::CountGroups(**table, AttrSet::Single(0)).ok());
-  failpoint::Deactivate("fd.count_groups");
+  EXPECT_TRUE(probe.Run().ok());
+  const Status second = probe.Run();
+  EXPECT_TRUE(second.IsIOError());
+  EXPECT_EQ(second.message(), "boom");
+  EXPECT_TRUE(probe.Run().ok());
+  failpoint::Deactivate("sql.execute");
 }
 
 TEST(FailpointTest, ActivateFromSpecSyntax) {
   // @skip from the env-style spec keeps exact trigger-after-N semantics.
-  DblpOptions options;
-  options.num_rows = 200;
-  auto table = GenerateDblp(options);
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE(failpoint::ActivateFromSpec("fd.count_groups=internal@1").ok());
-  EXPECT_TRUE(FdDetector::CountGroups(**table, AttrSet::Single(0)).ok());
-  auto second = FdDetector::CountGroups(**table, AttrSet::Single(0));
-  EXPECT_TRUE(second.status().IsInternal());
+  const SqlProbe probe = MakeSqlProbe();
+  ASSERT_TRUE(failpoint::ActivateFromSpec("sql.execute=internal@1").ok());
+  EXPECT_TRUE(probe.Run().ok());
+  EXPECT_TRUE(probe.Run().IsInternal());
   failpoint::DeactivateAll();
 
   // Malformed or out-of-range specs are rejected, never armed.
   EXPECT_TRUE(failpoint::ActivateFromSpec("nonsense").IsInvalidArgument());
   EXPECT_TRUE(failpoint::ActivateFromSpec("no.such.site=io").IsInvalidArgument());
-  EXPECT_TRUE(failpoint::ActivateFromSpec("fd.count_groups=io@-1").IsInvalidArgument());
-  EXPECT_TRUE(failpoint::ActivateFromSpec("fd.count_groups=io%zero").IsInvalidArgument());
-  EXPECT_TRUE(failpoint::ActivateFromSpec("fd.count_groups=io%0").IsInvalidArgument());
-  EXPECT_TRUE(failpoint::ActivateFromSpec("fd.count_groups=io%1.5").IsInvalidArgument());
+  EXPECT_TRUE(failpoint::ActivateFromSpec("sql.execute=io@-1").IsInvalidArgument());
+  EXPECT_TRUE(failpoint::ActivateFromSpec("sql.execute=io%zero").IsInvalidArgument());
+  EXPECT_TRUE(failpoint::ActivateFromSpec("sql.execute=io%0").IsInvalidArgument());
+  EXPECT_TRUE(failpoint::ActivateFromSpec("sql.execute=io%1.5").IsInvalidArgument());
   EXPECT_FALSE(failpoint::AnyActive());
 }
 
 TEST(FailpointTest, ProbabilisticFiringIsDeterministic) {
-  DblpOptions options;
-  options.num_rows = 200;
-  auto table = GenerateDblp(options);
-  ASSERT_TRUE(table.ok());
+  const SqlProbe probe = MakeSqlProbe();
 
   // p = 0.4 over 40 hits: some hits fire, some pass, and because the per-site
   // stream is reset by each Activate, the firing pattern is reproducible.
   auto run = [&] {
-    EXPECT_TRUE(failpoint::Activate("fd.count_groups", StatusCode::kIOError, "chaos",
+    EXPECT_TRUE(failpoint::Activate("sql.execute", StatusCode::kIOError, "chaos",
                                     /*skip=*/0, /*count=*/-1, /*probability=*/0.4)
                     .ok());
     std::string pattern;
-    for (int i = 0; i < 40; ++i) {
-      pattern += FdDetector::CountGroups(**table, AttrSet::Single(0)).ok() ? '.' : 'X';
-    }
-    failpoint::Deactivate("fd.count_groups");
+    for (int i = 0; i < 40; ++i) pattern += probe.Run().ok() ? '.' : 'X';
+    failpoint::Deactivate("sql.execute");
     return pattern;
   };
   const std::string first = run();
@@ -129,21 +138,18 @@ TEST(FailpointTest, ProbabilisticFiringIsDeterministic) {
 }
 
 TEST(FailpointTest, ProbabilisticLosingDrawsDoNotConsumeCount) {
-  DblpOptions options;
-  options.num_rows = 200;
-  auto table = GenerateDblp(options);
-  ASSERT_TRUE(table.ok());
+  const SqlProbe probe = MakeSqlProbe();
 
   // count=2 at p=0.4: exactly two of the eligible hits fire, regardless of
   // how many losing draws pass through in between.
-  ASSERT_TRUE(failpoint::Activate("fd.count_groups", StatusCode::kIOError, "chaos",
+  ASSERT_TRUE(failpoint::Activate("sql.execute", StatusCode::kIOError, "chaos",
                                   /*skip=*/0, /*count=*/2, /*probability=*/0.4)
                   .ok());
   int fired = 0;
   for (int i = 0; i < 60; ++i) {
-    if (!FdDetector::CountGroups(**table, AttrSet::Single(0)).ok()) ++fired;
+    if (!probe.Run().ok()) ++fired;
   }
-  failpoint::Deactivate("fd.count_groups");
+  failpoint::Deactivate("sql.execute");
   EXPECT_EQ(fired, 2);
 }
 
@@ -225,9 +231,6 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
   }
   if (site == "mining.cube.group") {
     return MakeCubeMiner()->Mine(*fx.table, SmallMiningConfig()).status();
-  }
-  if (site == "fd.count_groups") {
-    return FdDetector::CountGroups(*fx.table, AttrSet::Single(0)).status();
   }
   if (site == "explain.norm" || site == "explain.refine") {
     return fx.engine.Explain(fx.question).status();

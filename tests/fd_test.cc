@@ -3,6 +3,7 @@
 #include "fd/attr_set.h"
 #include "fd/fd_detector.h"
 #include "fd/fd_set.h"
+#include "relational/operators.h"
 #include "relational/table.h"
 
 namespace cape {
@@ -102,27 +103,24 @@ TablePtr HierarchyTable() {
   return table;
 }
 
-TEST(FdDetectorTest, CountGroups) {
-  auto table = HierarchyTable();
-  EXPECT_EQ(*FdDetector::CountGroups(*table, AttrSet::Single(0)), 40);
-  EXPECT_EQ(*FdDetector::CountGroups(*table, AttrSet::Single(1)), 10);
-  EXPECT_EQ(*FdDetector::CountGroups(*table, AttrSet::FromIndices({0, 1})), 40);
-  EXPECT_EQ(*FdDetector::CountGroups(*table, AttrSet::FromIndices({1, 3})), 40);
-}
-
 TEST(FdDetectorTest, DetectsHierarchyFds) {
   auto table = HierarchyTable();
   FdSet fds;
   FdDetector detector(&fds);
-  // Seed singleton cardinalities, then record pairs as the miner would.
+  // Seed singleton cardinalities, then record pairs as the miner would:
+  // |pi_G(R)| is the number of groups of γ_G(R).
+  auto group_size = [&](AttrSet g) {
+    auto grouped = GroupByAggregate(*table, g.ToIndices(), {});
+    EXPECT_TRUE(grouped.ok()) << grouped.status().ToString();
+    return (*grouped)->num_rows();
+  };
   for (int a = 0; a < 4; ++a) {
-    detector.RecordGroupSize(AttrSet::Single(a),
-                             *FdDetector::CountGroups(*table, AttrSet::Single(a)));
+    detector.RecordGroupSize(AttrSet::Single(a), group_size(AttrSet::Single(a)));
   }
   for (int a = 0; a < 4; ++a) {
     for (int b = a + 1; b < 4; ++b) {
       AttrSet g = AttrSet::FromIndices({a, b});
-      detector.RecordGroupSize(g, *FdDetector::CountGroups(*table, g));
+      detector.RecordGroupSize(g, group_size(g));
       detector.DetectFdsFor(g);
     }
   }

@@ -1,10 +1,9 @@
 // PatternMaintainer unit tests (DESIGN.md §16): the incremental maintenance
-// core in isolation, plus its engine integration (AppendAndRemine) and the
-// sampled first-pass miner. The broad byte-identity oracle across seeds,
-// schedules, storage toggles, and thread counts lives in
-// random_equivalence_test; these tests pin the contracts that suite assumes —
-// transactional Absorb, reusability after stop/fault, unsupported-config
-// rejection, and the approximate-mode markers.
+// core in isolation, plus its engine integration (AppendAndRemine). The
+// broad byte-identity oracle across seeds, schedules, storage, and thread
+// counts lives in random_equivalence_test; these tests pin the contracts
+// that suite assumes — transactional Absorb, reusability after stop/fault,
+// and unsupported-config rejection.
 
 #include <gtest/gtest.h>
 
@@ -178,10 +177,6 @@ TEST(IncrementalTest, UnsupportedConfigsRejectedAtBuild) {
   fd.use_fd_optimizations = true;
   EXPECT_TRUE(PatternMaintainer::Build(table, fd).status().IsNotImplemented());
 
-  MiningConfig approx = TestConfig();
-  approx.approx_sample_rows = 100;
-  EXPECT_TRUE(PatternMaintainer::Build(table, approx).status().IsNotImplemented());
-
   EXPECT_TRUE(
       PatternMaintainer::Build(nullptr, TestConfig()).status().IsInvalidArgument());
 }
@@ -315,60 +310,6 @@ TEST(IncrementalTest, EngineConfigChangeRebuildsMaintainer) {
   ASSERT_TRUE(engine->AppendAndRemine({donor->GetRow(2001)}).ok());
   EXPECT_EQ(SerializePatternSet(engine->patterns(), engine->schema()),
             Scratch(*engine->table(), engine->mining_config()));
-}
-
-// ---------------------------------------------------------------------------
-// Sampled (approximate) first-pass mining.
-
-TEST(IncrementalTest, SampledMiningIsDeterministicAndMarked) {
-  auto engine = Engine::FromTable(MakeTable(3000));
-  ASSERT_TRUE(engine.ok());
-  engine->mining_config() = TestConfig();
-  engine->mining_config().approx_sample_rows = 500;
-  engine->mining_config().approx_seed = 17;
-
-  ASSERT_TRUE(engine->MinePatterns("ARP-MINE").ok());
-  const MiningProfile& profile = engine->mining_profile();
-  EXPECT_TRUE(profile.approximate);
-  EXPECT_EQ(profile.approx_rows_sampled, 500);
-  EXPECT_EQ(profile.approx_rows_total, 3000);
-  EXPECT_GT(profile.approx_support_epsilon, 0.0);
-  EXPECT_GT(profile.approx_quality_epsilon, 0.0);
-  const std::string first = SerializePatternSet(engine->patterns(), engine->schema());
-
-  // Same (content, seed) → the same sample → the same pattern set.
-  ASSERT_TRUE(engine->MinePatterns("ARP-MINE").ok());
-  EXPECT_EQ(SerializePatternSet(engine->patterns(), engine->schema()), first);
-}
-
-TEST(IncrementalTest, SampleCoveringWholeTableIsExact) {
-  auto engine = Engine::FromTable(MakeTable(1000));
-  ASSERT_TRUE(engine.ok());
-  engine->mining_config() = TestConfig();
-  ASSERT_TRUE(engine->MinePatterns("ARP-MINE").ok());
-  const std::string exact = SerializePatternSet(engine->patterns(), engine->schema());
-
-  // approx_sample_rows >= num_rows: exact in, exact out — no sampling, no
-  // approximate marker.
-  engine->mining_config().approx_sample_rows = 1000;
-  ASSERT_TRUE(engine->MinePatterns("ARP-MINE").ok());
-  EXPECT_FALSE(engine->mining_profile().approximate);
-  EXPECT_EQ(SerializePatternSet(engine->patterns(), engine->schema()), exact);
-}
-
-TEST(IncrementalTest, SampledMiningBypassesServingCache) {
-  auto engine = Engine::FromTable(MakeTable(1500));
-  ASSERT_TRUE(engine.ok());
-  engine->mining_config() = TestConfig();
-  engine->mining_config().approx_sample_rows = 300;
-  PatternCache cache(/*byte_budget=*/1ull << 26);
-  engine->set_pattern_cache(&cache);
-  ASSERT_TRUE(engine->MinePatterns("ARP-MINE").ok());
-  // Never admitted, never looked up: approximate sets must not be served as
-  // exact answers to a later identical-config request.
-  EXPECT_EQ(cache.stats().entries, 0);
-  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0);
-  engine->set_pattern_cache(nullptr);
 }
 
 }  // namespace

@@ -14,12 +14,12 @@ objects. Check names are the suppression keys for
                       acyclic, and no lock may be held across file IO,
                       CondVar::Wait on a foreign mutex, or a blocking
                       thread-pool call (ParallelFor waits for its workers).
-  toggle-dispatch     every kernel dispatcher must consult
-                      Table::UsesPagedScan() (or return NotImplemented)
-                      before choosing a resident-row path, and must consult
-                      it before the vectorized-kernel toggle — a miss sends
-                      non-resident tables down code that reads rows_
-                      directly.
+  residency-dispatch  every relational operator entry point must handle
+                      out-of-core tables: check Table::rows_resident(),
+                      return NotImplemented, or scan through the kernels'
+                      ScanChunks loop — directly or through a callee that
+                      does. A miss sends a table whose rows live in a heap
+                      file down code that reads resident column arrays.
   unordered-iteration iteration over std::unordered_{map,set} must not feed
                       an order-sensitive sink (container append, string/
                       stream build-up, float accumulation): hash-bucket
@@ -72,10 +72,9 @@ POOL_WAIT_NAMES = {"ParallelFor"}
 
 CONDVAR_WAIT_NAMES = {"Wait", "WaitFor"}
 
-TOGGLE_PAGED = re.compile(r"\bUsesPagedScan\b|\bPagedStorageEnabled\b")
-TOGGLE_VEC = re.compile(r"\bVectorizedKernelsEnabled\b")
-TOGGLE_DICT = re.compile(r"\bDictionaryKernelsEnabled\b")
-NOT_IMPLEMENTED = re.compile(r"\bNotImplemented\b")
+# Handling out-of-core tables: the residency test, the NotImplemented
+# refusal, or the scan loop that picks resident arrays or pinned pages.
+RESIDENCY_RE = re.compile(r"\brows_resident\b|\bNotImplemented\b|\bScanChunks\b")
 
 
 class Program:
@@ -91,12 +90,18 @@ class Program:
                                           include_lambda_calls=True)
         self.does_io = self._fixpoint(self._direct_does_io,
                                       include_lambda_calls=False)
+        self.handles_residency = self._fixpoint(self._direct_handles_residency,
+                                                include_lambda_calls=True)
         self.acquires = self._acquires_fixpoint()
 
     def _direct_checks_stop(self, fn):
         # Lambda bodies count: a ParallelFor worker lambda that checks the
         # stop token is exactly how hot loops stay cancellable.
         return any(c.name in STOP_CALL_NAMES for c in fn.calls)
+
+    def _direct_handles_residency(self, fn):
+        body = fn.file.stripped[fn.body_start:fn.body_end]
+        return bool(RESIDENCY_RE.search(body))
 
     def _direct_does_io(self, fn):
         # Lambda bodies do NOT count: a closure handed to the thread pool
@@ -344,12 +349,12 @@ def check_lock_graph(program, all_files, report_global):
 
 
 # ----------------------------------------------------------------------------
-# Check 3: toggle-dispatch completeness
+# Check 3: residency-dispatch completeness
 
 # Operator entry points that every caller routes table scans through. Each
-# must be paged-aware: consult UsesPagedScan()/PagedStorageEnabled() or
-# return NotImplemented for non-resident tables — directly or through
-# another dispatcher it unconditionally delegates to.
+# must handle out-of-core tables — check rows_resident(), return
+# NotImplemented, or scan through ScanChunks — directly or through any
+# callee that does (e.g. GroupByAggregate delegating to the fused kernel).
 DISPATCH_SEEDS = {
     "FilterEquals", "GroupByAggregate", "FilterGroupAggregate",
     "CountFilterMatches", "Filter", "Project", "ProjectDistinct",
@@ -359,61 +364,19 @@ DISPATCH_DIRS = ("src/relational/",)
 
 
 def check_dispatch(program, all_files, report_global):
-    dispatchers = []
     for fa in all_files:
         if not any(fa.rel.startswith(d) for d in DISPATCH_DIRS):
             continue
         for fn in fa.functions:
-            body = fa.stripped[fn.body_start:fn.body_end]
-            consults_vec = bool(TOGGLE_VEC.search(body))
-            if fn.base_name in DISPATCH_SEEDS or consults_vec:
-                dispatchers.append((fa, fn, body, consults_vec))
-
-    aware = {}  # base name -> bool (merged over overloads)
-    bodies = {}
-    for fa, fn, body, _ in dispatchers:
-        direct = bool(TOGGLE_PAGED.search(body) or NOT_IMPLEMENTED.search(body))
-        aware[fn.base_name] = aware.get(fn.base_name, False) or direct
-        bodies.setdefault(fn.base_name, []).append((fa, fn, body))
-
-    # One delegation hop: a dispatcher that routes every scan into another
-    # dispatcher inherits its paged handling (e.g. the name-based
-    # GroupByAggregate overload delegating to the index-based one).
-    changed = True
-    while changed:
-        changed = False
-        for name, entries in bodies.items():
-            if aware.get(name):
+            if fn.base_name not in DISPATCH_SEEDS:
                 continue
-            for fa, fn, body in entries:
-                if any(aware.get(c.name) for c in fn.calls
-                       if c.name in aware and c.name != name):
-                    aware[name] = True
-                    changed = True
-
-    for fa, fn, body, consults_vec in dispatchers:
-        if not aware.get(fn.base_name):
-            report_global(fa, fa.line_at(fn.header_start), "toggle-dispatch",
-                          f"dispatcher {fn.name}() handles the vectorized/"
-                          "dictionary toggles but never consults "
-                          "UsesPagedScan() or returns NotImplemented — "
-                          "non-resident tables would take a resident-row "
-                          "path")
-            continue
-        if consults_vec:
-            paged_m = TOGGLE_PAGED.search(body)
-            vec_m = TOGGLE_VEC.search(body)
-            ni_m = NOT_IMPLEMENTED.search(body)
-            if paged_m is None and ni_m is None:
-                continue  # delegated paged handling: ordering checked there
-            guard = min(m.start() for m in (paged_m, ni_m) if m is not None)
-            if vec_m is not None and vec_m.start() < guard:
-                report_global(fa, fa.line_at(fn.body_start + vec_m.start()),
-                              "toggle-dispatch",
-                              f"{fn.name}() consults VectorizedKernelsEnabled() "
-                              "before the paged-table guard — a paged table "
-                              "would be routed by the vectorized toggle "
-                              "instead of its residency")
+            if program.handles_residency[id(fn)]:
+                continue
+            report_global(fa, fa.line_at(fn.header_start), "residency-dispatch",
+                          f"operator {fn.name}() never checks residency — no "
+                          "rows_resident(), NotImplemented or ScanChunks, "
+                          "directly or through a callee — so an out-of-core "
+                          "table would take a resident-row path")
 
 
 # ----------------------------------------------------------------------------
@@ -478,7 +441,7 @@ def _has_order_hazard(fa, fn, loop, body):
     return False
 
 
-ALL_CHECKS = ("cancellation", "lock-order", "toggle-dispatch",
+ALL_CHECKS = ("cancellation", "lock-order", "residency-dispatch",
               "unordered-iteration")
 
 
@@ -513,7 +476,7 @@ def run_checks(file_asts, enabled=None):
                             report)
     if "lock-order" in enabled:
         check_lock_graph(program, file_asts, report)
-    if "toggle-dispatch" in enabled:
+    if "residency-dispatch" in enabled:
         check_dispatch(program, file_asts, report)
 
     findings.sort(key=Finding.sort_key)

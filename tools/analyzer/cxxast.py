@@ -252,6 +252,14 @@ class FileAst:
         while j > 0 and s[j - 1] not in ";{}":
             j -= 1
         m = IDENT_RE.search(s, j, offset)
+        # A template's own keyword is the one after its parameter list, so
+        # function templates parse as functions and class templates stay
+        # types.
+        while m and m.group(0) == "template":
+            lt = s.find("<", m.end(), offset)
+            if lt == -1:
+                break
+            m = IDENT_RE.search(s, srcscan.skip_balanced(s, lt, "<", ">"), offset)
         return m.group(0) if m else ""
 
     def _body_after_params(self, i):

@@ -6,8 +6,9 @@ seeding one violation, one clean twin of the same shape, or one suppression
 match the expectation list exactly. Every check has at least one seeded
 violation (including a lock-order *cycle* and an uncancellable data-bounded
 loop), one clean fixture proving the check does not overfire on the
-sanctioned idiom (strided stop check, collect-then-sort, paged-first
-dispatch, closure-deferred IO), and the suppression syntax is exercised in
+sanctioned idiom (strided stop check, collect-then-sort, residency check or
+scan-loop delegation, closure-deferred IO), and the suppression syntax is
+exercised in
 both its same-line and next-line forms.
 
 Expectations name a unique line *substring* instead of a line number, so
@@ -138,30 +139,42 @@ class Pinned {
   Mutex mu_;
 };
 """,
-    # -- toggle-dispatch ---------------------------------------------------
+    # -- residency-dispatch ------------------------------------------------
     "src/relational/st_dispatch.cc": """\
-Result<TablePtr> FilterScan(const Table& t) {  // seeded: no paged handling
-  if (VectorizedKernelsEnabled()) {
-    return VecPath(t);
-  }
-  return LegacyPath(t);
+Result<TablePtr> SortTable(const Table& t) {  // seeded: ignores residency
+  return SortRows(t);
 }
 
-Result<TablePtr> GroupScan(const Table& t) {
-  if (VectorizedKernelsEnabled()) return VecGroup(t);  // seeded: vec first
-  if (t.UsesPagedScan()) return PagedGroup(t);
-  return LegacyGroup(t);
+Result<TablePtr> Cube(const Table& t) {  // seeded: residency-blind helper
+  return CubeRows(t);
 }
 
-Result<TablePtr> SortScan(const Table& t) {
-  if (t.UsesPagedScan()) return Status::NotImplemented("paged sort");
-  if (VectorizedKernelsEnabled()) return VecSort(t);
-  return LegacySort(t);
+Status CubeRows(const Table& t) {
+  return SortRows(t).status();
 }
 
-Result<TablePtr> ProjectScan(const Table& t) {
-  if (VectorizedKernelsEnabled()) return SortScan(t);
-  return SortScan(t);
+Result<TablePtr> Project(const Table& t) {
+  if (!t.rows_resident()) return Status::NotImplemented("paged project");
+  return ProjectRows(t);
+}
+
+Result<TablePtr> FilterEquals(const Table& t) {
+  return ScanChunks(t, [&](const PageView& view) { return Select(view); });
+}
+
+Result<TablePtr> GroupByAggregate(const Table& t) {
+  return GroupRows(t);
+}
+
+Status GroupRows(const Table& t) {
+  return ScanBlocks(t, [&](const PageView& view) { return Fold(view); });
+}
+
+// A function template: the delegation above only resolves if templates
+// parse as functions.
+template <typename Fn>
+Status ScanBlocks(const Table& t, Fn fn) {
+  return ScanChunks(t, fn);
 }
 """,
     # -- unordered-iteration ----------------------------------------------
@@ -231,9 +244,10 @@ EXPECTED = [
     ("src/core/st_lock_block.cc", "// seeded: pool wait", "lock-order"),
     ("src/core/st_lock_block.cc", "// seeded: foreign-mutex wait", "lock-order"),
     ("src/core/st_lock_block.cc", "// seeded: IO while mu_ held", "lock-order"),
-    ("src/relational/st_dispatch.cc", "// seeded: no paged handling",
-     "toggle-dispatch"),
-    ("src/relational/st_dispatch.cc", "// seeded: vec first", "toggle-dispatch"),
+    ("src/relational/st_dispatch.cc", "// seeded: ignores residency",
+     "residency-dispatch"),
+    ("src/relational/st_dispatch.cc", "// seeded: residency-blind helper",
+     "residency-dispatch"),
     ("src/explain/st_unordered.cc", "// seeded: hash order reaches output",
      "unordered-iteration"),
     ("src/core/st_index.cc", "// seeded: member via header",
