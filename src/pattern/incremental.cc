@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -21,49 +21,6 @@ namespace {
 using mining_internal::CandidateMap;
 using mining_internal::CandidateStats;
 
-/// Appends an exact-byte encoding of base-table cell (row, col) such that
-/// two cells of the same column encode equal iff their Values compare equal
-/// (the equality SortTable's fragment boundaries use). Within a column all
-/// non-null values share one type, so: int64 payloads are exact bytes,
-/// doubles canonicalize -0.0 to +0.0 (NaN is excluded upstream), and strings
-/// are length-prefixed content. A leading flag byte separates NULL from
-/// everything else.
-void AppendCellKey(const Table& table, int64_t row, int col, std::string* key) {
-  const Column& c = table.column(col);
-  if (c.IsNull(row)) {
-    key->push_back('\0');
-    return;
-  }
-  key->push_back('\1');
-  auto append_u64 = [key](uint64_t bits) {
-    for (int i = 0; i < 8; ++i) {
-      key->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-    }
-  };
-  switch (c.type()) {
-    case DataType::kInt64:
-      append_u64(static_cast<uint64_t>(c.GetInt64(row)));
-      break;
-    case DataType::kDouble: {
-      double v = c.GetDouble(row);
-      if (v == 0.0) v = 0.0;  // -0.0 and +0.0 compare equal; one key
-      uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      append_u64(bits);
-      break;
-    }
-    case DataType::kString: {
-      const std::string& s = c.GetString(row);
-      const uint32_t len = static_cast<uint32_t>(s.size());
-      for (int i = 0; i < 4; ++i) {
-        key->push_back(static_cast<char>((len >> (8 * i)) & 0xFF));
-      }
-      key->append(s);
-      break;
-    }
-  }
-}
-
 /// One (agg, model) candidate of a split, with its surviving local patterns
 /// keyed by the split's fragment byte-key.
 struct CandidateSlot {
@@ -73,13 +30,14 @@ struct CandidateSlot {
 };
 
 /// One (F, V) split of an attribute set G. `buckets` partitions the G-group
-/// ids by fragment key, each bucket stored in the split's cell order — V
-/// values ascending under Value ordering, group id (= discovery order) as
-/// the stable tie-break — which is exactly the fragment row order
-/// EvaluateSplit sees after SortTable.
+/// ids by fragment key (the F cells of their group keys), each bucket stored
+/// in the split's cell order — V values ascending under Value ordering,
+/// group id (= discovery order) as the stable tie-break — which is exactly
+/// the fragment row order EvaluateSplit sees after SortTable.
 struct SplitState {
   std::vector<int> f_base;  // base attr indices, ascending
   std::vector<int> v_base;
+  std::vector<std::pair<size_t, size_t>> f_cells;  // (offset, width) in a G key
   AttrSet f_attrs;
   AttrSet v_attrs;
   bool v_all_numeric = false;
@@ -116,7 +74,6 @@ struct PatternMaintainer::Rep {
   MiningConfig config;
   uint64_t config_digest = 0;
   std::vector<int> nan_guard_cols;  // eligible double columns
-  std::vector<int> numeric_cols;    // for MaintenanceStats::column_stats
   std::vector<GroupSetState> group_sets;
   int64_t rows_folded = 0;
   MaintenanceStats stats;
@@ -301,53 +258,28 @@ Status PatternMaintainer::Rep::StageDelta(int64_t end_row, StopToken* stop,
 
   MiningProfile scratch_profile;  // FitFragmentCandidate's timers; discarded
   RefitScratch refit_scratch;     // reused across every re-fit this delta
-  // Cell-key segments of the touched groups' representative rows, rebuilt
-  // per group-set: every split's fragment key concatenates a subset of the
-  // group-set's cell keys, so the base-table cells are encoded once per
-  // touched group instead of once per (group, split) pair.
-  std::string seg_pool;
-  std::vector<size_t> seg_off;  // (ncols + 1) boundaries per touched id
-  std::vector<size_t> f_pos;    // split's f_base positions within g_attrs
   std::unordered_map<std::string, std::vector<int64_t>> dirty;  // reused per split
+  std::string key;
   for (GroupSetState& gs : group_sets) {
     const int64_t committed = gs.groups->num_groups();
     const std::vector<int64_t>& touched = gs.groups->staged_touched();
     if (touched.empty()) continue;
-    const size_t ncols = gs.g_attrs.size();
-    seg_pool.clear();
-    seg_off.clear();
-    seg_off.reserve(touched.size() * (ncols + 1));
-    for (int64_t id : touched) {
-      const int64_t rep_row = gs.groups->RepresentativeRow(id);
-      for (size_t c = 0; c < ncols; ++c) {
-        seg_off.push_back(seg_pool.size());
-        AppendCellKey(*table, rep_row, gs.g_attrs[c], &seg_pool);
-      }
-      seg_off.push_back(seg_pool.size());
-    }
     for (SplitState& split : gs.splits) {
-      f_pos.clear();
-      for (int fc : split.f_base) {
-        f_pos.push_back(static_cast<size_t>(
-            std::find(gs.g_attrs.begin(), gs.g_attrs.end(), fc) - gs.g_attrs.begin()));
-      }
       // Touched groups, partitioned by this split's fragment key. New ids
       // arrive in first-touch order (ascending), committed dirty groups mark
       // their fragment with an (empty) entry. Map order is irrelevant: every
       // delta is independent and commits by fragment key.
       dirty.clear();  // bucket array survives, sized by earlier splits
       dirty.reserve(touched.size());
-      std::string key;
-      for (size_t i = 0; i < touched.size(); ++i) {
+      for (int64_t id : touched) {
+        const std::string_view group_key = gs.groups->GroupKey(id);
         key.clear();
-        const size_t base = i * (ncols + 1);
-        for (size_t p : f_pos) {
-          key.append(seg_pool.data() + seg_off[base + p],
-                     seg_off[base + p + 1] - seg_off[base + p]);
+        for (const auto& [offset, width] : split.f_cells) {
+          key.append(group_key.substr(offset, width));
         }
         auto [it, inserted] = dirty.try_emplace(key);
         (void)inserted;
-        if (touched[i] >= committed) it->second.push_back(touched[i]);
+        if (id >= committed) it->second.push_back(id);
       }
       // analyzer:allow-next-line(unordered-iteration) deltas commit by key
       for (auto& [fkey, new_ids] : dirty) {
@@ -398,10 +330,6 @@ Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
   for (int a : allowed.ToIndices()) {
     if (schema.field(a).type == DataType::kDouble) rep->nan_guard_cols.push_back(a);
   }
-  for (int c = 0; c < schema.num_fields(); ++c) {
-    if (IsNumericType(schema.field(c).type)) rep->numeric_cols.push_back(c);
-  }
-  rep->stats.column_stats.resize(static_cast<size_t>(schema.num_fields()));
 
   CAPE_ASSIGN_OR_RETURN(const std::vector<AttrSet> group_sets,
                         mining_internal::EnumerateGroupSets(schema, config));
@@ -423,6 +351,7 @@ Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
     }
     CAPE_ASSIGN_OR_RETURN(gs.groups,
                           IncrementalGroupBy::Make(table, gs.g_attrs, std::move(specs)));
+    const GroupKeyEncoder key_layout(*table, gs.g_attrs);  // gs.groups' key cells
 
     for (uint32_t mask = 1; mask + 1 < (1u << num_g); ++mask) {
       SplitState split;
@@ -431,6 +360,9 @@ Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
         if (mask & (1u << i)) {
           split.f_attrs.Add(attr);
           split.f_base.push_back(attr);
+          const size_t k = static_cast<size_t>(i);
+          split.f_cells.emplace_back(key_layout.cell_offset(k),
+                                     key_layout.cell_offset(k + 1) - key_layout.cell_offset(k));
         } else {
           split.v_attrs.Add(attr);
           split.v_base.push_back(attr);
@@ -556,19 +488,6 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
     }
   }
 
-  // Column moments: per-batch Welford accumulators folded into the lifetime
-  // ones via Merge (order-independent up to rounding; descriptive.h).
-  for (int col : rep.numeric_cols) {
-    const Column& c = rep.table->column(col);
-    RunningStats batch;
-    // Past the commit barrier: a stop return here would leave buckets folded
-    // but rows_folded stale, double-folding the batch on retry.
-    // analyzer:allow-next-line(cancellation) all-or-nothing contract wins
-    for (int64_t row = rep.rows_folded; row < end_row; ++row) {
-      if (!c.IsNull(row)) batch.Add(c.GetNumeric(row));
-    }
-    rep.stats.column_stats[static_cast<size_t>(col)].Merge(batch);
-  }
   rep.stats.batches_absorbed += 1;
   rep.stats.rows_absorbed += end_row - rep.rows_folded;
   rep.rows_folded = end_row;

@@ -9,7 +9,6 @@
 #include "pattern/mining.h"
 #include "pattern/pattern_set.h"
 #include "relational/table.h"
-#include "stats/descriptive.h"
 
 namespace cape {
 
@@ -40,12 +39,6 @@ struct MaintenanceStats {
   int64_t locals_added = 0;
   int64_t locals_dropped = 0;
   int64_t locals_replaced = 0;
-  /// Per base column, mergeable Welford moments of all non-null values folded
-  /// so far (numeric columns only; string slots stay empty). Each Absorb
-  /// accumulates the delta into a fresh batch accumulator and folds it in
-  /// with RunningStats::Merge — the mergeable-accumulator machinery
-  /// stats_incremental_test pins, exercised on the production path.
-  std::vector<RunningStats> column_stats;
 };
 
 /// Incrementally maintained ARP mining state (DESIGN.md §16): holds, per

@@ -52,10 +52,11 @@ class ArpMiner final : public PatternMiner {
 
     if (config.use_fd_optimizations) {
       // Seed singleton cardinalities (the system-catalog statistics a DBMS
-      // would provide) so size-2 iterations can already test A -> B: the
-      // non-NULL groups of γ_a(R), which is Column::CountDistinct() on a
-      // resident column. The scan kernels count them for either residency
-      // (an out-of-core table's numeric columns hold no rows to count).
+      // would provide) so size-2 iterations can already test A -> B. |π_a(R)|
+      // is γ_a(R)'s group count, the NULL group included, exactly as every
+      // larger level records |π_G(R)|. The scan kernels count the groups
+      // for either residency (an out-of-core table's numeric columns hold
+      // no rows to count).
       ScopedTimer timer(&profile.query_ns);
       const AttrSet allowed = mining_internal::AllowedAttrs(*table.schema(), config);
       for (int a : allowed.ToIndices()) {
@@ -67,9 +68,7 @@ class ArpMiner final : public PatternMiner {
           result.stop_reason = StopReasonFromStatus(groups.status());
           break;
         }
-        const Table& distinct = **groups;
-        detector.RecordGroupSize(AttrSet::Single(a),
-                                 distinct.num_rows() - distinct.column(0).null_count());
+        detector.RecordGroupSize(AttrSet::Single(a), (*groups)->num_rows());
       }
     }
 

@@ -7,6 +7,8 @@
 // masks compact into selection vectors, dense group keys pack a block at a
 // time, and the fused FilterGroupAggregate feeds aggregates straight from
 // the chunks — no materialized intermediate, no per-row std::function.
+// Every grouped scan, and IncrementalGroupBy, runs on one group table: one
+// first-seen registry, one open-addressing index, and the sinks over them.
 //
 // Byte identity across residencies: every kernel visits rows in ascending
 // global order, numbers groups in first-seen order (any injective keying
@@ -25,10 +27,12 @@
 #include "relational/kernels.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -38,9 +42,6 @@ namespace cape {
 
 namespace {
 
-using relational_internal::AggState;
-using relational_internal::ChunkGetValue;
-using relational_internal::UpdateAggState;
 using relational_internal::ValidateAggSpec;
 using relational_internal::ValidateColumnIndex;
 
@@ -313,22 +314,69 @@ void SelectBlock(const BlockPredicate& pred, const PageView& view, int64_t begin
 }
 
 // ---------------------------------------------------------------------------
-// Aggregate plans.
+// Aggregate states and plans.
+
+/// Running state of one aggregate within one group.
+struct AggState {
+  int64_t count = 0;  // non-null inputs (rows for count(*))
+  int64_t isum = 0;   // integer sum
+  double dsum = 0.0;  // double sum
+  Value min_value;    // NULL until first non-null input
+  Value max_value;
+};
+
+/// Boxes view-local row `i` of `chunk` exactly as Column::GetValue would:
+/// the chunk mirrors the Column layout, and `col` supplies the type and
+/// (for strings) the dictionary.
+Value ChunkGetValue(const ColumnChunk& chunk, const Column& col, int64_t i) {
+  if (chunk.validity[i] == 0) return Value::Null();
+  switch (col.type()) {
+    case DataType::kInt64:
+      return Value::Int64(chunk.i64[i]);
+    case DataType::kDouble:
+      return Value::Double(chunk.f64[i]);
+    case DataType::kString:
+      return Value::String(col.DictString(chunk.codes[i]));
+  }
+  return Value::Null();
+}
+
+Value FinalizeAggState(const Table& table, const AggregateSpec& spec, const AggState& state) {
+  switch (spec.func) {
+    case AggFunc::kCount:
+      return Value::Int64(state.count);
+    case AggFunc::kSum:
+      if (state.count == 0) return Value::Null();
+      if (spec.input_col != AggregateSpec::kCountStar &&
+          table.column(spec.input_col).type() == DataType::kInt64) {
+        return Value::Int64(state.isum);
+      }
+      return Value::Double(state.dsum);
+    case AggFunc::kAvg:
+      if (state.count == 0) return Value::Null();
+      return Value::Double(state.dsum / static_cast<double>(state.count));
+    case AggFunc::kMin:
+      return state.min_value;
+    case AggFunc::kMax:
+      return state.max_value;
+  }
+  return Value::Null();
+}
 
 /// Pre-resolved update shape of one aggregate, so the per-row scatter loop
 /// dispatches on a dense enum instead of re-deriving (func, column type)
-/// per row. Update arithmetic replicates UpdateAggState exactly — in
-/// particular the int64 sum's dual isum/dsum accumulation.
+/// per row.
 enum class AggKind : uint8_t {
   kCountStar,  // count(*): rows
   kCountCol,   // count(col): non-null rows
   kSumInt64,   // sum/avg over an int64 column
   kSumDouble,  // sum/avg over a double column
-  kBoxed,      // min/max: boxed Value comparisons via UpdateAggState
+  kMin,        // min/max: boxed Value comparisons
+  kMax,
 };
 
 struct AggPlan {
-  AggKind kind = AggKind::kBoxed;
+  AggKind kind = AggKind::kCountStar;
   int col = -1;  // input column (kCountStar: unused)
 };
 
@@ -352,8 +400,10 @@ std::vector<AggPlan> CompileAggPlans(const Table& table,
                                                                  : AggKind::kSumDouble;
           break;
         case AggFunc::kMin:
+          p.kind = AggKind::kMin;
+          break;
         case AggFunc::kMax:
-          p.kind = AggKind::kBoxed;
+          p.kind = AggKind::kMax;
           break;
       }
     }
@@ -362,59 +412,67 @@ std::vector<AggPlan> CompileAggPlans(const Table& table,
   return plans;
 }
 
-/// Folds view-local row `i` of `chunks` into one group's aggregate states.
-void UpdateWithPlans(const Table& table, const std::vector<AggregateSpec>& aggs,
-                     const std::vector<AggPlan>& plans, const ColumnChunk* chunks, int64_t i,
-                     AggState* states) {
-  for (size_t a = 0; a < plans.size(); ++a) {
-    AggState& st = states[a];
-    const AggPlan& p = plans[a];
-    switch (p.kind) {
-      case AggKind::kCountStar:
-        ++st.count;
-        break;
-      case AggKind::kCountCol:
-        if (chunks[p.col].validity[i] != 0) ++st.count;
-        break;
-      case AggKind::kSumInt64: {
-        const ColumnChunk& ch = chunks[p.col];
-        if (ch.validity[i] != 0) {
-          ++st.count;
-          const int64_t v = ch.i64[i];
-          st.isum += v;
-          st.dsum += static_cast<double>(v);
-        }
-        break;
-      }
-      case AggKind::kSumDouble: {
-        const ColumnChunk& ch = chunks[p.col];
-        if (ch.validity[i] != 0) {
-          ++st.count;
-          st.dsum += ch.f64[i];
-        }
-        break;
-      }
-      case AggKind::kBoxed:
-        UpdateAggState(table, aggs[a], chunks, i, &st);
-        break;
+/// Folds view-local row `i` of `chunks` into one aggregate's state: the
+/// update arithmetic of every group-by, in particular the int64 sum's dual
+/// isum/dsum accumulation and Value::Compare's order for min/max. NULL
+/// inputs count only for count(*).
+void UpdateAggState(const Table& table, const AggPlan& p, const ColumnChunk* chunks,
+                    int64_t i, AggState* st) {
+  if (p.kind == AggKind::kCountStar) {
+    ++st->count;
+    return;
+  }
+  const ColumnChunk& ch = chunks[p.col];
+  if (ch.validity[i] == 0) return;
+  ++st->count;
+  switch (p.kind) {
+    case AggKind::kCountStar:
+    case AggKind::kCountCol:
+      break;
+    case AggKind::kSumInt64:
+      st->isum += ch.i64[i];
+      st->dsum += static_cast<double>(ch.i64[i]);
+      break;
+    case AggKind::kSumDouble:
+      st->dsum += ch.f64[i];
+      break;
+    case AggKind::kMin: {
+      Value v = ChunkGetValue(ch, table.column(p.col), i);
+      if (st->min_value.is_null() || v < st->min_value) st->min_value = std::move(v);
+      break;
+    }
+    case AggKind::kMax: {
+      Value v = ChunkGetValue(ch, table.column(p.col), i);
+      if (st->max_value.is_null() || st->max_value < v) st->max_value = std::move(v);
+      break;
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Group tables and key sinks.
+/// Folds view-local row `i` of `chunks` into one group's aggregate states.
+void UpdateWithPlans(const Table& table, const std::vector<AggPlan>& plans,
+                     const ColumnChunk* chunks, int64_t i, AggState* states) {
+  for (size_t a = 0; a < plans.size(); ++a) {
+    UpdateAggState(table, plans[a], chunks, i, &states[a]);
+  }
+}
 
-/// Discovered groups in first-seen order — the numbering contract every
-/// downstream consumer depends on. A group's key values are remembered as
-/// its first row when the rows are resident (read back at finalize: no
-/// allocation for the key), and boxed at discovery otherwise, while the
-/// page holding the row is still pinned.
+// ---------------------------------------------------------------------------
+// The group table: one registry of groups, one open-addressing index, and
+// the sinks that map a row's key to its group.
+
+/// The groups of one γ in first-seen order — the numbering contract every
+/// downstream consumer depends on — each with its aggregate states and its
+/// key: the group's first row when the rows are resident (read back at
+/// finalize: no allocation for the key), its boxed values otherwise, taken
+/// at discovery while the page holding the row is still pinned. States live
+/// in blocks that double in size and never move, so growth copies no state.
 class GroupTable {
  public:
   GroupTable(const Table& table, const std::vector<int>& group_cols, size_t num_aggs)
       : table_(table), group_cols_(group_cols), num_aggs_(num_aggs) {}
 
-  size_t size() const { return states_.size(); }
+  size_t size() const { return size_; }
 
   /// Registers the group first seen at view-local row `i` of `view`.
   size_t AddGroup(const PageView& view, int64_t i) {
@@ -426,11 +484,26 @@ class GroupTable {
       for (int c : group_cols_) key.push_back(ChunkGetValue(view.cols[c], table_.column(c), i));
       boxed_keys_.push_back(std::move(key));
     }
-    states_.emplace_back(num_aggs_);
-    return states_.size() - 1;
+    const auto [b, slot] = Locate(size_);
+    if (b == blocks_.size()) {
+      blocks_.emplace_back();
+      blocks_.back().reserve((kFirstBlock << b) * num_aggs_);
+    }
+    blocks_[b].resize((slot + 1) * num_aggs_);  // within the reserved block
+    return size_++;
   }
 
-  AggState* states(size_t g) { return states_[g].data(); }
+  AggState* states(size_t g) {
+    const auto [b, slot] = Locate(g);
+    return blocks_[b].data() + slot * num_aggs_;
+  }
+  const AggState* states(size_t g) const {
+    const auto [b, slot] = Locate(g);
+    return blocks_[b].data() + slot * num_aggs_;
+  }
+
+  /// First row of group `g` (resident rows only).
+  int64_t first_row(size_t g) const { return first_rows_[g]; }
 
   /// Key value `k` (group_cols[k]) of group `g`.
   Value KeyValue(size_t g, size_t k) const {
@@ -438,17 +511,121 @@ class GroupTable {
     return boxed_keys_[g][k];
   }
 
+  /// Drops groups [n, size()).
+  void Truncate(size_t n) {
+    first_rows_.resize(std::min(first_rows_.size(), n));
+    boxed_keys_.resize(std::min(boxed_keys_.size(), n));
+    const auto [b, slot] = Locate(n);
+    if (b < blocks_.size()) {
+      blocks_[b].resize(slot * num_aggs_);
+      blocks_.resize(b + 1);
+    }
+    size_ = n;
+  }
+
  private:
+  static constexpr size_t kFirstBlock = 16;  // block b holds kFirstBlock << b groups
+
+  /// The block holding group `g`, and g's index within it.
+  static std::pair<size_t, size_t> Locate(size_t g) {
+    const size_t x = g + kFirstBlock;
+    const size_t top = static_cast<size_t>(std::bit_width(x)) - 1;
+    return {top - static_cast<size_t>(std::countr_zero(kFirstBlock)), x - (size_t{1} << top)};
+  }
+
   const Table& table_;
   const std::vector<int>& group_cols_;
   const size_t num_aggs_;
-  std::vector<int64_t> first_rows_;            // resident: first row of each group
-  std::vector<Row> boxed_keys_;                // out-of-core: key values of each group
-  std::vector<std::vector<AggState>> states_;  // [group][agg]
+  size_t size_ = 0;
+  std::vector<int64_t> first_rows_;              // resident: first row of each group
+  std::vector<Row> boxed_keys_;                  // out-of-core: key values of each group
+  std::vector<std::vector<AggState>> blocks_;    // [block][slot * num_aggs + agg]
 };
 
-/// Group lookup via a direct-address array — one vector access per row for
-/// small mixed-radix key spaces.
+/// Open-addressing index from a group key's 64-bit hash to its group: flat
+/// (hash, group) slots with linear probing, so a probe costs one cache-miss
+/// chain instead of a node walk. Keys whose full hashes collide occupy
+/// separate slots on one probe chain; the caller's `eq` confirms a hit.
+/// Erase leaves a tombstone: only a discarded IncrementalGroupBy fold
+/// erases, so buildup is negligible and any growth rehash drops them.
+class GroupSlotIndex {
+ public:
+  static constexpr size_t kNotFound = static_cast<size_t>(-1);
+
+  /// Returns the group whose slot matches `hash` and satisfies `eq`, or
+  /// kNotFound. `eq(group)` must compare the key for equality.
+  template <typename KeyEq>
+  size_t Find(uint64_t hash, const KeyEq& eq) const {
+    if (slots_.empty()) return kNotFound;
+    size_t idx = static_cast<size_t>(hash) & mask_;
+    while (true) {
+      const Slot& s = slots_[idx];
+      if (s.group == kEmpty) return kNotFound;
+      if (s.group != kTombstone && s.hash == hash && eq(s.group)) return s.group;
+      idx = (idx + 1) & mask_;
+    }
+  }
+
+  /// Hints the probe start for an upcoming Find(hash, ...).
+  void Prefetch(uint64_t hash) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
+  }
+
+  void Insert(uint64_t hash, size_t group) {
+    if ((used_ + 1) * 2 > slots_.size()) Grow();
+    size_t idx = static_cast<size_t>(hash) & mask_;
+    while (slots_[idx].group != kEmpty && slots_[idx].group != kTombstone) {
+      idx = (idx + 1) & mask_;
+    }
+    if (slots_[idx].group == kEmpty) used_ += 1;  // tombstone reuse keeps used_
+    slots_[idx] = Slot{hash, group};
+  }
+
+  /// Removes the slot holding `group` (which must be present under `hash`).
+  void Erase(uint64_t hash, size_t group) {
+    size_t idx = static_cast<size_t>(hash) & mask_;
+    while (slots_[idx].group != group) idx = (idx + 1) & mask_;
+    slots_[idx].group = kTombstone;
+  }
+
+  /// Pre-sizes for ~n live groups to amortize growth rehashes across a fold.
+  void Reserve(size_t n) {
+    size_t cap = 64;
+    while (cap < n * 2) cap <<= 1;
+    if (cap > slots_.size()) Rehash(cap);
+  }
+
+ private:
+  static constexpr size_t kEmpty = static_cast<size_t>(-1);
+  static constexpr size_t kTombstone = static_cast<size_t>(-2);
+  struct Slot {
+    uint64_t hash;
+    size_t group;
+  };
+
+  void Grow() { Rehash(slots_.empty() ? 64 : slots_.size() * 2); }
+
+  void Rehash(size_t cap) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(cap, Slot{0, kEmpty});
+    mask_ = cap - 1;
+    used_ = 0;
+    for (const Slot& s : old) {
+      if (s.group == kEmpty || s.group == kTombstone) continue;
+      size_t idx = static_cast<size_t>(s.hash) & mask_;
+      while (slots_[idx].group != kEmpty) idx = (idx + 1) & mask_;
+      slots_[idx] = s;
+      used_ += 1;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t used_ = 0;  // slots consumed (live + tombstones)
+};
+
+/// Dense-key group lookup via a direct-address array — one vector access
+/// per row for small mixed-radix key spaces.
 struct DirectSink {
   DirectSink(uint64_t domain, GroupTable* groups)
       : slots(static_cast<size_t>(domain), -1), groups(groups) {}
@@ -463,18 +640,98 @@ struct DirectSink {
   GroupTable* groups;
 };
 
-/// Group lookup via an exact uint64-keyed hash map for larger key spaces.
-struct MapSink {
-  MapSink(size_t expected, GroupTable* groups) : groups(groups) { map.reserve(expected); }
+/// splitmix64's finalizer: a bijection on 64 bits whose low bits depend on
+/// every key bit. Mixed-radix keys that differ only in a higher digit share
+/// their low bits, and the index picks a slot by the low bits.
+uint64_t MixKey(uint64_t key) {
+  key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  key = (key ^ (key >> 27)) * 0x94d049bb133111ebULL;
+  return key ^ (key >> 31);
+}
+
+/// Dense-key group lookup for key spaces too large to address directly:
+/// the index over mixed keys. The mix is a bijection, so equal mixes mean
+/// equal keys and no key needs keeping.
+struct HashSink {
+  HashSink(size_t expected, GroupTable* groups) : groups(groups) { index.Reserve(expected); }
 
   size_t GidFor(uint64_t key, const PageView& view, int64_t i) {
-    auto [it, fresh] = map.try_emplace(key, groups->size());
-    if (fresh) groups->AddGroup(view, i);
-    return it->second;
+    const uint64_t mixed = MixKey(key);
+    size_t g = index.Find(mixed, [](size_t) { return true; });
+    if (g == GroupSlotIndex::kNotFound) {
+      g = groups->AddGroup(view, i);
+      index.Insert(mixed, g);
+    }
+    return g;
   }
 
-  std::unordered_map<uint64_t, size_t> map;
+  GroupSlotIndex index;
   GroupTable* groups;
+};
+
+/// Groups keyed by GroupKeyEncoder bytes — the grouping kernel's keys when
+/// the dense plan cannot pack them, and IncrementalGroupBy's: the index over
+/// the keys' hashes, with every group's key kept to settle hash collisions.
+class KeyedGroups {
+ public:
+  KeyedGroups(const Table& table, const std::vector<int>& group_cols)
+      : encoder_(table, group_cols) {}
+
+  /// Pre-sizes the index for ~n groups.
+  void Reserve(size_t n) { index_.Reserve(n); }
+
+  std::string_view key(size_t g) const {
+    const size_t w = encoder_.key_width();
+    return std::string_view(keys_).substr(g * w, w);
+  }
+
+  /// Writes the group of view-local row rows[j] of `view` to gids[j] for
+  /// j < n, registering new groups in `groups` in row order. Rows go in
+  /// batches: one pass encodes a batch's keys and prefetches their index
+  /// slots, the next probes, so the slot misses of a batch overlap instead
+  /// of serializing row by row.
+  void Lookup(const PageView& view, const int64_t* rows, int64_t n, GroupTable* groups,
+              size_t* gids) {
+    constexpr int64_t kBatch = 32;
+    const size_t w = encoder_.key_width();
+    uint64_t hashes[kBatch];
+    for (int64_t base = 0; base < n; base += kBatch) {
+      const int64_t m = std::min(kBatch, n - base);
+      batch_.clear();
+      for (int64_t j = 0; j < m; ++j) {
+        encoder_.EncodeRow(view.cols, rows[base + j], &batch_);
+        hashes[j] = HashBytes(batch_.data() + j * w, w);
+        index_.Prefetch(hashes[j]);
+      }
+      for (int64_t j = 0; j < m; ++j) {
+        const char* key = batch_.data() + j * w;
+        size_t g = index_.Find(hashes[j], [&](size_t c) {
+          return std::memcmp(keys_.data() + c * w, key, w) == 0;
+        });
+        if (g == GroupSlotIndex::kNotFound) {
+          g = groups->AddGroup(view, rows[base + j]);
+          index_.Insert(hashes[j], g);
+          keys_.append(key, w);
+        }
+        gids[base + j] = g;
+      }
+    }
+  }
+
+  /// Drops the index entries and keys of groups [n, ...).
+  void Truncate(size_t n) {
+    const size_t w = encoder_.key_width();
+    for (size_t g = n; g * w < keys_.size(); ++g) {
+      index_.Erase(HashBytes(keys_.data() + g * w, w), g);
+    }
+    keys_.resize(n * w);
+  }
+
+ private:
+  GroupKeyEncoder encoder_;
+  GroupSlotIndex index_;
+  std::string keys_;   // group g's key at [g * key_width, (g + 1) * key_width)
+  std::string batch_;  // keys of the batch being looked up
 };
 
 // ---------------------------------------------------------------------------
@@ -608,7 +865,6 @@ uint64_t PackKeyScalar(const std::vector<DenseCol>& dense, const ColumnChunk* ch
 struct GroupQuery {
   const Table& table;
   const std::vector<int>& group_cols;
-  const std::vector<AggregateSpec>& aggs;
   const std::vector<AggPlan>& plans;
 };
 
@@ -654,7 +910,7 @@ struct DenseFold {
     PackBlockKeys(dense, view.cols, begin, n, keys);
     for (int i = 0; i < n; ++i) {
       const size_t g = sink.GidFor(keys[i], view, begin + i);
-      UpdateWithPlans(q.table, q.aggs, q.plans, view.cols, begin + i, groups->states(g));
+      UpdateWithPlans(q.table, q.plans, view.cols, begin + i, groups->states(g));
     }
   }
 
@@ -662,7 +918,7 @@ struct DenseFold {
     for (int64_t j = 0; j < k; ++j) {
       const int64_t i = rows[j];
       const size_t g = sink.GidFor(PackKeyScalar(dense, view.cols, i), view, i);
-      UpdateWithPlans(q.table, q.aggs, q.plans, view.cols, i, groups->states(g));
+      UpdateWithPlans(q.table, q.plans, view.cols, i, groups->states(g));
     }
   }
 
@@ -673,49 +929,31 @@ struct DenseFold {
   uint64_t keys[kKernelBlockSize];  // one block's packed keys
 };
 
-/// Byte-keyed fold for group keys the dense plan cannot pack (double
-/// columns, wide int64 ranges, overflowing domain products): GroupKeyEncoder
-/// keys hashed once per row, collisions resolved by key bytes.
-struct EncoderFold {
-  EncoderFold(const GroupQuery& q, size_t expected, GroupTable* groups)
-      : q(q), encoder(q.table, q.group_cols), groups(groups) {
-    buckets.reserve(expected);
-    group_keys.reserve(expected);
+/// Byte-keyed fold: KeyedGroups maps a block's rows to their groups, then
+/// each row updates its group's states, in row order.
+struct KeyFold {
+  KeyFold(const GroupQuery& q, size_t expected, GroupTable* groups)
+      : q(q), keys(q.table, q.group_cols), groups(groups) {
+    keys.Reserve(expected);
   }
 
   void Block(const PageView& view, int64_t begin, int n) {
-    for (int i = 0; i < n; ++i) Fold(view, begin + i);
+    std::iota(block_rows, block_rows + n, begin);
+    Rows(view, block_rows, n);
   }
 
   void Rows(const PageView& view, const int64_t* rows, int64_t k) {
-    for (int64_t j = 0; j < k; ++j) Fold(view, rows[j]);
-  }
-
-  void Fold(const PageView& view, int64_t i) {
-    key.clear();
-    encoder.EncodeRow(view.cols, i, &key);
-    std::vector<size_t>& bucket = buckets[HashBytes(key.data(), key.size())];
-    size_t g = groups->size();
-    for (size_t candidate : bucket) {
-      if (group_keys[candidate] == key) {
-        g = candidate;
-        break;
-      }
+    keys.Lookup(view, rows, k, groups, gids);
+    for (int64_t j = 0; j < k; ++j) {
+      UpdateWithPlans(q.table, q.plans, view.cols, rows[j], groups->states(gids[j]));
     }
-    if (g == groups->size()) {
-      bucket.push_back(g);
-      group_keys.push_back(key);
-      groups->AddGroup(view, i);
-    }
-    UpdateWithPlans(q.table, q.aggs, q.plans, view.cols, i, groups->states(g));
   }
 
   const GroupQuery& q;
-  GroupKeyEncoder encoder;
+  KeyedGroups keys;
   GroupTable* groups;
-  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
-  std::vector<std::string> group_keys;
-  std::string key;
+  int64_t block_rows[kKernelBlockSize];
+  size_t gids[kKernelBlockSize];
 };
 
 /// γ over the rows of `q.table` that satisfy `pred`, into `groups`.
@@ -738,19 +976,18 @@ Status GroupScan(const GroupQuery& q, const BlockPredicate& pred, GroupTable* gr
   std::vector<DenseCol> dense;
   uint64_t domain_product = 1;
   if (!PlanDenseKeys(table, q.group_cols, selected, &dense, &domain_product)) {
-    EncoderFold fold(q, static_cast<size_t>(total / 4 + 1), groups);
+    KeyFold fold(q, static_cast<size_t>(total / 4 + 1), groups);
     return FoldMatches(table, pred, selected, stop, fold);
   }
-  // Small key spaces use a direct-address table; larger ones an exact
-  // uint64-keyed hash map.
+  // Small key spaces use a direct-address table; larger ones the index.
   const uint64_t direct_cap = static_cast<uint64_t>(std::max<int64_t>(total, 1024)) * 4;
   if (domain_product <= direct_cap) {
     DirectSink sink(domain_product, groups);
     DenseFold<DirectSink> fold(q, dense, sink, groups);
     return FoldMatches(table, pred, selected, stop, fold);
   }
-  MapSink sink(static_cast<size_t>(total / 4 + 1), groups);
-  DenseFold<MapSink> fold(q, dense, sink, groups);
+  HashSink sink(static_cast<size_t>(total / 4 + 1), groups);
+  DenseFold<HashSink> fold(q, dense, sink, groups);
   return FoldMatches(table, pred, selected, stop, fold);
 }
 
@@ -760,7 +997,6 @@ Status GroupScan(const GroupQuery& q, const BlockPredicate& pred, GroupTable* gr
 /// row order (floating-point addition order is part of the identity
 /// contract).
 Status SingleGroupScan(const Table& table, const BlockPredicate& pred,
-                       const std::vector<AggregateSpec>& aggs,
                        const std::vector<AggPlan>& plans, AggState* states,
                        StopToken* stop) {
   bool need_sel = false;
@@ -806,10 +1042,9 @@ Status SingleGroupScan(const Table& table, const BlockPredicate& pred,
           }
           break;
         }
-        case AggKind::kBoxed:
-          for (int64_t j = 0; j < k; ++j) {
-            UpdateAggState(table, aggs[a], view.cols, rows[j], &st);
-          }
+        case AggKind::kMin:
+        case AggKind::kMax:
+          for (int64_t j = 0; j < k; ++j) UpdateAggState(table, p, view.cols, rows[j], &st);
           break;
       }
     }
@@ -908,10 +1143,10 @@ Result<TablePtr> FilterGroupAggregate(const Table& table,
     if (pred.never_matches()) {
       CAPE_RETURN_IF_ERROR(StopOrOk(stop));
     } else {
-      CAPE_RETURN_IF_ERROR(SingleGroupScan(table, pred, aggs, plans, states.data(), stop));
+      CAPE_RETURN_IF_ERROR(SingleGroupScan(table, pred, plans, states.data(), stop));
     }
     for (size_t a = 0; a < aggs.size(); ++a) {
-      out_row.push_back(relational_internal::FinalizeAggState(table, aggs[a], states[a]));
+      out_row.push_back(FinalizeAggState(table, aggs[a], states[a]));
     }
     CAPE_RETURN_IF_ERROR(out->AppendRow(out_row));
     return out;
@@ -922,7 +1157,7 @@ Result<TablePtr> FilterGroupAggregate(const Table& table,
     // The selection is provably empty without a scan.
     CAPE_RETURN_IF_ERROR(StopOrOk(stop));
   } else {
-    CAPE_RETURN_IF_ERROR(GroupScan(GroupQuery{table, group_cols, aggs, plans}, pred,
+    CAPE_RETURN_IF_ERROR(GroupScan(GroupQuery{table, group_cols, plans}, pred,
                                    &groups, stop));
   }
   out->Reserve(static_cast<int64_t>(groups.size()));
@@ -931,11 +1166,205 @@ Result<TablePtr> FilterGroupAggregate(const Table& table,
     for (size_t k = 0; k < group_cols.size(); ++k) out_row.push_back(groups.KeyValue(g, k));
     for (size_t a = 0; a < aggs.size(); ++a) {
       out_row.push_back(
-          relational_internal::FinalizeAggState(table, aggs[a], groups.states(g)[a]));
+          FinalizeAggState(table, aggs[a], groups.states(g)[a]));
     }
     CAPE_RETURN_IF_ERROR(out->AppendRow(out_row));
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// IncrementalGroupBy: the byte-keyed group table, kept alive across appends.
+
+struct IncrementalGroupBy::Impl {
+  Impl(TablePtr t, std::vector<int> cols, std::vector<AggregateSpec> specs)
+      : table(std::move(t)),
+        group_cols(std::move(cols)),
+        aggs(std::move(specs)),
+        plans(CompileAggPlans(*table, aggs)),
+        groups(*table, group_cols, aggs.size()),
+        keys(*table, group_cols) {}
+
+  /// Ends the staged fold once it is committed or rolled back.
+  void EndFold() {
+    for (int64_t g : touched) {
+      if (static_cast<size_t>(g) < in_fold.size()) in_fold[static_cast<size_t>(g)] = 0;
+    }
+    touched.clear();
+    undo.clear();
+    staging = false;
+  }
+
+  TablePtr table;
+  std::vector<int> group_cols;
+  std::vector<AggregateSpec> aggs;
+  std::vector<AggPlan> plans;
+  GroupTable groups;  // the committed groups, then the staged fold's new ones
+  KeyedGroups keys;
+  int64_t rows_folded = 0;
+  size_t committed = 0;  // groups [0, committed) are committed
+
+  // The staged fold updates states in place. The undo log holds the
+  // pre-fold states of each committed group it touched, saved at the first
+  // touch: one entry per committed id in `touched`, in that order.
+  bool staging = false;
+  int64_t staged_end = 0;
+  std::vector<int64_t> touched;  // first-touch order
+  std::vector<uint8_t> in_fold;  // [group] 1 once the staged fold touched it
+  std::vector<AggState> undo;    // [entry * naggs + agg]
+};
+
+IncrementalGroupBy::IncrementalGroupBy(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
+
+IncrementalGroupBy::~IncrementalGroupBy() = default;
+
+Result<std::unique_ptr<IncrementalGroupBy>> IncrementalGroupBy::Make(
+    TablePtr table, std::vector<int> group_cols, std::vector<AggregateSpec> aggs) {
+  if (table == nullptr) {
+    return Status::InvalidArgument("IncrementalGroupBy requires a table");
+  }
+  if (!table->rows_resident()) {
+    return Status::InvalidArgument("IncrementalGroupBy requires resident rows");
+  }
+  if (group_cols.empty()) {
+    return Status::InvalidArgument("IncrementalGroupBy requires group columns");
+  }
+  for (int c : group_cols) CAPE_RETURN_IF_ERROR(ValidateColumnIndex(*table, c));
+  for (const AggregateSpec& spec : aggs) {
+    CAPE_RETURN_IF_ERROR(ValidateAggSpec(*table, spec));
+  }
+  auto impl =
+      std::make_unique<Impl>(std::move(table), std::move(group_cols), std::move(aggs));
+  return std::unique_ptr<IncrementalGroupBy>(new IncrementalGroupBy(std::move(impl)));
+}
+
+int64_t IncrementalGroupBy::rows_folded() const { return impl_->rows_folded; }
+
+int64_t IncrementalGroupBy::num_groups() const {
+  return static_cast<int64_t>(impl_->committed);
+}
+
+Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
+  Impl& im = *impl_;
+  if (im.staging) {
+    return Status::InvalidArgument("PrepareFold with a fold already staged");
+  }
+  if (end_row < im.rows_folded || end_row > im.table->num_rows()) {
+    return Status::OutOfRange("fold end " + std::to_string(end_row) +
+                              " outside [" + std::to_string(im.rows_folded) + ", " +
+                              std::to_string(im.table->num_rows()) + "]");
+  }
+  im.staging = true;
+  im.staged_end = end_row;
+  // The grouping kernel's sizing heuristic: a quarter of the fold's rows on
+  // top of the live groups avoids nearly all growth rehashes.
+  im.keys.Reserve(im.committed + static_cast<size_t>(end_row - im.rows_folded) / 4);
+  const Table& table = *im.table;
+  const size_t na = im.aggs.size();
+  // The table grows between folds, so its chunk views are taken per fold.
+  const std::vector<ColumnChunk> chunks = table.ResidentChunks();
+  const PageView view{0, table.num_rows(), chunks.data()};
+  int64_t rows[kKernelBlockSize];
+  size_t gids[kKernelBlockSize];
+  for (int64_t b = im.rows_folded; b < end_row; b += kKernelBlockSize) {
+    const int64_t n = std::min<int64_t>(kKernelBlockSize, end_row - b);
+    std::iota(rows, rows + n, b);
+    im.keys.Lookup(view, rows, n, &im.groups, gids);
+    im.in_fold.resize(im.groups.size());
+    for (int64_t j = 0; j < n; ++j) {
+      const size_t g = gids[j];
+      AggState* states = im.groups.states(g);
+      if (im.in_fold[g] == 0) {
+        im.in_fold[g] = 1;
+        im.touched.push_back(static_cast<int64_t>(g));
+        if (g < im.committed) im.undo.insert(im.undo.end(), states, states + na);
+      }
+      UpdateWithPlans(table, im.plans, view.cols, rows[j], states);
+    }
+    // Stops are honoured between blocks; a stop rolls the fold back.
+    if (b + n < end_row && stop != nullptr && stop->ShouldStopNow()) {
+      DiscardFold();
+      return stop->ToStatus();
+    }
+  }
+  return Status::OK();
+}
+
+const std::vector<int64_t>& IncrementalGroupBy::staged_touched() const {
+  return impl_->touched;
+}
+
+int64_t IncrementalGroupBy::RepresentativeRow(int64_t group) const {
+  return impl_->groups.first_row(static_cast<size_t>(group));
+}
+
+std::string_view IncrementalGroupBy::GroupKey(int64_t group) const {
+  return impl_->keys.key(static_cast<size_t>(group));
+}
+
+void IncrementalGroupBy::AggregateNumericBatch(const int64_t* groups, size_t n,
+                                               size_t agg_idx, double* out,
+                                               uint8_t* valid) const {
+  const Impl& im = *impl_;
+  // The compiled plan already resolved (function, column type); only avg
+  // and sum share a kind.
+  const AggPlan& plan = im.plans[agg_idx];
+  const bool avg = im.aggs[agg_idx].func == AggFunc::kAvg;
+  // Cells come in fragment order, not group order: prefetching a few groups
+  // ahead hides the random-access miss on their states.
+  constexpr size_t kLookahead = 8;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kLookahead < n) {
+      __builtin_prefetch(im.groups.states(static_cast<size_t>(groups[i + kLookahead])));
+    }
+    const AggState& state = im.groups.states(static_cast<size_t>(groups[i]))[agg_idx];
+    const double mean = state.dsum / static_cast<double>(state.count);
+    valid[i] = state.count != 0;
+    switch (plan.kind) {
+      case AggKind::kCountStar:
+      case AggKind::kCountCol:
+        out[i] = static_cast<double>(state.count);
+        valid[i] = 1;
+        break;
+      case AggKind::kSumInt64:
+        out[i] = avg ? mean : static_cast<double>(state.isum);
+        break;
+      case AggKind::kSumDouble:
+        out[i] = avg ? mean : state.dsum;
+        break;
+      case AggKind::kMin:
+        out[i] = state.min_value.AsDouble();
+        break;
+      case AggKind::kMax:
+        out[i] = state.max_value.AsDouble();
+        break;
+    }
+  }
+}
+
+void IncrementalGroupBy::CommitFold() {
+  Impl& im = *impl_;
+  if (!im.staging) return;
+  im.rows_folded = im.staged_end;
+  im.committed = im.groups.size();
+  im.EndFold();
+}
+
+void IncrementalGroupBy::DiscardFold() {
+  Impl& im = *impl_;
+  if (!im.staging) return;
+  const size_t na = im.aggs.size();
+  auto saved = im.undo.begin();
+  for (int64_t g : im.touched) {
+    if (static_cast<size_t>(g) >= im.committed) continue;
+    std::move(saved, saved + static_cast<int64_t>(na), im.groups.states(static_cast<size_t>(g)));
+    saved += static_cast<int64_t>(na);
+  }
+  im.keys.Truncate(im.committed);
+  im.groups.Truncate(im.committed);
+  im.in_fold.resize(im.committed);
+  im.EndFold();
 }
 
 }  // namespace cape

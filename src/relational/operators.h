@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -133,15 +134,16 @@ Result<TablePtr> Cube(const Table& table, const std::vector<int>& cube_cols,
 /// Encodes a row's projection onto `cols` into a byte string such that two
 /// rows of the same table encode equal iff their projections are equal
 /// (value- and null-aware; -0.0 canonicalizes to 0.0, NaN keys compare by
-/// bit pattern). Format: 0x00 for NULL, else 0x01 followed by a fixed-width
-/// payload — 8-byte int64/double, 4-byte dictionary code. The schema fixes
-/// each column's payload width and per-column encodings are prefix-free, so
-/// keys decode unambiguously. Codes are only unique within one column's
-/// dictionary, so keys compare only among rows of the same table.
+/// bit pattern). Each column contributes one cell: a flag byte (0x00 for
+/// NULL, 0x01 otherwise) and a payload whose width the column type fixes —
+/// 8-byte int64/double, 4-byte dictionary code — zero-filled for NULL. So
+/// every key of one encoder has the same width and cell k sits at the same
+/// offset in each. Codes are only unique within one column's dictionary, so
+/// keys compare only among rows of the same table.
 ///
 /// Rows are read from ColumnChunk arrays, one chunk per table column: a
 /// resident table's arrays or a pinned page of an out-of-core one. This is
-/// the key of the grouping kernels' byte-keyed fallback and of
+/// the key of the grouping kernels' byte-keyed groups and of
 /// IncrementalGroupBy.
 class GroupKeyEncoder {
  public:
@@ -151,28 +153,36 @@ class GroupKeyEncoder {
   /// is not cleared).
   void EncodeRow(const ColumnChunk* chunks, int64_t row, std::string* buf) const;
 
+  /// Bytes in every key.
+  size_t key_width() const { return offsets_.back(); }
+
+  /// Byte offset of cols[k]'s cell in a key; the cell ends at
+  /// cell_offset(k + 1), and cell_offset(cols.size()) == key_width().
+  size_t cell_offset(size_t k) const { return offsets_[k]; }
+
  private:
   std::vector<int> cols_;
   std::vector<DataType> types_;
+  std::vector<size_t> offsets_;
 };
 
-/// Incrementally maintained GROUP BY: the stateful twin of GroupByAggregate
-/// for append-only resident tables. Holds per-group aggregate state keyed by
-/// the GroupKeyEncoder key and folds newly appended rows without rescanning
-/// the prefix. The table's column arrays move as it grows, so each fold
-/// takes fresh chunk views of them.
+/// Incrementally maintained GROUP BY: the grouping kernel's byte-keyed group
+/// table (kernels.cc) kept alive across appends to a resident table. It
+/// folds newly appended rows without rescanning the prefix; the table's
+/// column arrays move as it grows, so each fold takes fresh chunk views.
 ///
 /// Groups are numbered in first-seen row order, exactly as GroupByAggregate
 /// discovers them, and each group's state is produced by the same sequential
-/// UpdateAggState fold over its rows — so RepresentativeRow/AggregateValue
-/// reproduce the corresponding GroupByAggregate output table byte-for-byte
-/// at every fold point. PatternMaintainer builds its group tables on this.
+/// fold over its rows — so RepresentativeRow and AggregateNumericBatch
+/// reproduce the corresponding GroupByAggregate output byte-for-byte at
+/// every fold point. PatternMaintainer builds its group tables on this.
 ///
-/// Folds are transactional: PrepareFold stages the delta (copies of touched
-/// group states, provisional ids for new groups) without modifying committed
-/// state; CommitFold publishes it infallibly; DiscardFold drops it, leaving
-/// the instance exactly as before PrepareFold. Accessors are staging-aware
-/// so callers can evaluate the would-be post-append state before deciding to
+/// Folds are transactional: PrepareFold folds the delta in place and keeps
+/// an undo log (the pre-fold states of each committed group it touches);
+/// CommitFold drops the log; DiscardFold restores the logged states and
+/// drops the fold's new groups, leaving the instance exactly as before
+/// PrepareFold. Between the two, the accessors read the folded state, so
+/// callers can evaluate the would-be post-append state before deciding to
 /// commit. Not thread-safe; the table must outlive this object and must only
 /// grow (appends) between folds.
 class IncrementalGroupBy {
@@ -186,50 +196,33 @@ class IncrementalGroupBy {
   /// Rows [0, rows_folded()) are committed into the group states.
   int64_t rows_folded() const;
 
-  /// Committed group count (excludes staged-new groups).
+  /// Committed group count (excludes the staged fold's new groups).
   int64_t num_groups() const;
 
   /// Stages the fold of rows [rows_folded(), end_row). Requires no staging
-  /// in progress and rows_folded() <= end_row <= table->num_rows(). On stop
-  /// (or any error) the partial staging is discarded and committed state is
-  /// untouched.
+  /// in progress and rows_folded() <= end_row <= table->num_rows(). A stop
+  /// is honoured between blocks of kKernelBlockSize rows; on stop (or any
+  /// error) the partial fold is discarded and committed state is untouched.
   Status PrepareFold(int64_t end_row, StopToken* stop = nullptr);
 
   /// Group ids whose state the staged fold changes or creates, in
-  /// first-touch order. Ids >= num_groups() are staged-new groups.
+  /// first-touch order. Ids >= num_groups() are the fold's new groups.
   const std::vector<int64_t>& staged_touched() const;
 
-  /// Committed plus staged-new group count.
-  int64_t staged_num_groups() const;
-
-  /// First table row of `group` (staging-aware for staged-new groups).
+  /// First table row of `group`.
   int64_t RepresentativeRow(int64_t group) const;
 
-  /// Finalized aggregate `agg_idx` of `group`, reflecting staged state when
-  /// a fold is in progress — byte-identical to the corresponding cell of
-  /// GroupByAggregate over the first staged_num_groups()-discovering rows.
-  Value AggregateValue(int64_t group, size_t agg_idx) const;
+  /// The GroupKeyEncoder key of `group` over the group columns.
+  std::string_view GroupKey(int64_t group) const;
 
-  /// Unboxed twin of AggregateValue: writes AggregateValue(...).AsDouble()
-  /// to *out and returns false iff the aggregate finalizes to NULL. The
-  /// maintainer's fragment re-fit reads one aggregate per cell, so this
-  /// skips the Value round-trip.
-  bool AggregateNumeric(int64_t group, size_t agg_idx, double* out) const;
-
-  /// AggregateNumeric over a group-id span: out[i] and valid[i] receive the
-  /// value and non-NULL flag for groups[i]. One call per fragment instead of
-  /// one per cell — the finalize mode is resolved once and upcoming state
-  /// rows are prefetched internally.
+  /// Finalized aggregate `agg_idx` of groups[i], as a double, into out[i],
+  /// with valid[i] = 0 where it finalizes to NULL: the AsDouble() of the
+  /// GroupByAggregate cell. One call per fragment — the finalize mode is
+  /// resolved once and upcoming groups' states are prefetched.
   void AggregateNumericBatch(const int64_t* groups, size_t n, size_t agg_idx,
                              double* out, uint8_t* valid) const;
 
-  /// Hints that `group`'s aggregate state is about to be read. Group states
-  /// live in one flat array, so a caller iterating a cell list can issue
-  /// this a few iterations ahead to hide the random-access miss.
-  void PrefetchGroup(int64_t group) const;
-
-  /// Publishes the staged fold. Infallible: no allocation-dependent failure
-  /// paths after this returns void (states move, vectors were pre-grown).
+  /// Publishes the staged fold. Infallible: it only drops the undo log.
   void CommitFold();
 
   /// Drops the staged fold, restoring the pre-PrepareFold state.

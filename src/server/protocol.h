@@ -22,6 +22,9 @@
 /// The bracketed header is optional and every key in it is optional;
 /// requests without an id echo id 0. Statements are the SQL layer's
 /// grammar (EXPLAIN WHY / SELECT) plus the server verbs STATS and PING.
+/// Requests pipelined on one connection run concurrently, so their answers
+/// arrive in completion order, not request order; each carries its
+/// request's id for the client to match.
 
 namespace cape::server {
 

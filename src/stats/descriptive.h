@@ -18,27 +18,6 @@ class RunningStats {
     if (n_ == 1 || x > max_) max_ = x;
   }
 
-  /// Folds another accumulator in (Chan et al.'s parallel Welford update),
-  /// as if the two input streams had been concatenated. Associative and
-  /// order-independent up to floating-point rounding; stats_incremental_test
-  /// pins the ulp bounds against the batch formulas. Lets maintainers keep
-  /// per-batch accumulators and combine them without revisiting the data.
-  void Merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double delta = other.mean_ - mean_;
-    const size_t n = n_ + other.n_;
-    mean_ += delta * static_cast<double>(other.n_) / static_cast<double>(n);
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / static_cast<double>(n);
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-    n_ = n;
-  }
-
   size_t count() const { return n_; }
   double mean() const { return n_ == 0 ? 0.0 : mean_; }
   /// Population variance (divide by n).

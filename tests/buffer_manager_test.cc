@@ -472,5 +472,37 @@ TEST(BufferManagerTest, PagedArpMineWithFdsMatchesResident) {
   EXPECT_GT(want->patterns.size(), 0u);
 }
 
+TEST(BufferManagerTest, ArpMineFindsFdWhoseLeftSideHoldsNulls) {
+  // |π_a(R)| counts a's NULL group, as |π_{a,b}(R)| counts it, so a -> b
+  // holds when b is a function of a — NULL included. The singleton seed
+  // must count that group too, or the FD is never found.
+  auto table = MakeEmptyTable({Field{"a", DataType::kString, true},
+                               Field{"b", DataType::kString, false},
+                               Field{"c", DataType::kInt64, false}});
+  const char* const as[] = {"a1", "a2", "a3", nullptr};
+  const char* const bs[] = {"x", "y", "x", "z"};
+  for (int64_t r = 0; r < 400; ++r) {
+    const size_t k = static_cast<size_t>(r % 4);
+    ASSERT_TRUE(table
+                    ->AppendRow({as[k] == nullptr ? Value::Null() : Value::String(as[k]),
+                                 Value::String(bs[k]), Value::Int64((r * 7) % 23)})
+                    .ok());
+  }
+  TempFile file("cape_bm_fd_nulls.cape");
+  ASSERT_TRUE(WriteTableToHeapFile(*table, file.path(), kRowsPerPage).ok());
+  auto paged = OpenPagedTable(file.path(), /*budget_bytes=*/1 << 18);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+
+  MiningConfig config;
+  config.max_pattern_size = 3;
+  config.use_fd_optimizations = true;
+  for (const Table* t : {table.get(), paged->get()}) {
+    auto mined = MakeArpMiner()->Mine(*t, config);
+    ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+    EXPECT_TRUE(mined->fds.Implies(AttrSet::Single(0), 1))
+        << (t->rows_resident() ? "resident: " : "paged: ") << mined->fds.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace cape

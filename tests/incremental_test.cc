@@ -101,23 +101,6 @@ TEST(IncrementalTest, AbsorbIsNoOpWhenTableUnchanged) {
   EXPECT_EQ((*maintainer)->rows_folded(), 1000);
 }
 
-TEST(IncrementalTest, ColumnStatsTrackEveryNumericColumn) {
-  TablePtr table = MakeTable(1500);
-  auto maintainer = PatternMaintainer::Build(table, TestConfig());
-  ASSERT_TRUE(maintainer.ok());
-  const MaintenanceStats& stats = (*maintainer)->stats();
-  ASSERT_EQ(static_cast<int>(stats.column_stats.size()), table->num_columns());
-  for (int c = 0; c < table->num_columns(); ++c) {
-    if (table->schema()->field(c).type == DataType::kString) {
-      EXPECT_EQ(stats.column_stats[static_cast<size_t>(c)].count(), 0u);
-    } else {
-      // Non-null numeric values folded; dblp generates these fully non-null.
-      EXPECT_EQ(stats.column_stats[static_cast<size_t>(c)].count(),
-                static_cast<size_t>(table->num_rows()));
-    }
-  }
-}
-
 TEST(IncrementalTest, CancelledAbsorbLeavesMaintainerReusable) {
   TablePtr table = MakeTable(2000);
   TablePtr donor = MakeTable(2100);

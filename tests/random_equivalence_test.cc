@@ -12,7 +12,9 @@
 //     form) is byte-identical to the freshly mined one.
 //  3. Mining the out-of-core twin gives the in-memory pattern set at every
 //     thread count.
-//  4. Incremental maintenance lands on the pattern set of a cold mine.
+//  4. Incremental maintenance lands on the pattern set of a cold mine, and
+//     its group tables (IncrementalGroupBy) on the reference γ after every
+//     fold, with stopped and discarded folds leaving no trace.
 //  5. One-shot explanation with t'[F] = t[F] pushed below γ and an
 //     ExplainSession over whole γ tables, each over the resident table and
 //     over its paged copy, return byte-identical top-k answers at any
@@ -25,12 +27,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "core/engine.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
@@ -528,6 +533,177 @@ TEST_P(IncrementalVsScratchTest, TopKExplanationsMatchScratchAfterAppends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalVsScratchTest,
+                         ::testing::Values(7u, 21u, 42u, 99u, 1337u, 2026u),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// ---------------------------------------------------------------------------
+// IncrementalGroupBy vs the reference evaluator (DESIGN.md §16).
+//
+// The maintainer's group tables fold appended rows in place and keep an undo
+// log until the fold commits. After every committed fold, each group's
+// first row and finalized aggregates must equal γ over the folded prefix as
+// reference_eval.h derives it, bit for bit; a fold stopped mid-way and a
+// discarded fold must leave every value as it was.
+// ---------------------------------------------------------------------------
+
+/// One row per group: its first row, then each aggregate as
+/// AggregateNumericBatch reads it — the finalized value's double, or NULL.
+using GroupRows = std::vector<Row>;
+
+GroupRows Observed(const IncrementalGroupBy& groups, size_t num_aggs) {
+  const size_t n = static_cast<size_t>(groups.num_groups());
+  std::vector<int64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  GroupRows out(n);
+  for (size_t g = 0; g < n; ++g) {
+    out[g].push_back(Value::Int64(groups.RepresentativeRow(static_cast<int64_t>(g))));
+  }
+  std::vector<double> values(n);
+  std::vector<uint8_t> valid(n);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    groups.AggregateNumericBatch(ids.data(), n, a, values.data(), valid.data());
+    for (size_t g = 0; g < n; ++g) {
+      out[g].push_back(valid[g] != 0 ? Value::Double(values[g]) : Value::Null());
+    }
+  }
+  return out;
+}
+
+/// The same rows for γ over rows [0, end) of `pool`, from the reference.
+GroupRows Expected(const TablePtr& pool, int64_t end, const std::vector<int>& cols,
+                   const std::vector<AggregateSpec>& aggs) {
+  const TablePtr prefix = PrefixTable(pool, end);
+  const reference::Rows gamma = reference::GroupBy(*prefix, {}, cols, aggs);
+  std::map<Row, int64_t, reference::RowLess> first_rows;
+  GroupRows out;
+  for (int64_t r = 0; r < end; ++r) {
+    if (first_rows.emplace(reference::Projection(*prefix, r, cols), r).second) {
+      out.push_back({Value::Int64(r)});
+    }
+  }
+  EXPECT_EQ(out.size(), gamma.size());
+  for (size_t g = 0; g < out.size() && g < gamma.size(); ++g) {
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      const Value& v = gamma[g][cols.size() + a];
+      out[g].push_back(v.is_null() ? Value::Null() : Value::Double(v.AsDouble()));
+    }
+  }
+  return out;
+}
+
+::testing::AssertionResult SameGroups(const GroupRows& got, const GroupRows& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "got " << got.size() << " groups, want " << want.size();
+  }
+  for (size_t g = 0; g < got.size(); ++g) {
+    for (size_t c = 0; c < got[g].size() && c < want[g].size(); ++c) {
+      if (!reference::SameValue(got[g][c], want[g][c])) {
+        return ::testing::AssertionFailure() << "group " << g << " cell " << c << ": got "
+                                             << got[g][c].ToString() << ", want "
+                                             << want[g][c].ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Rows r of the result are rows r % pool.num_rows() of `pool`: a relation
+/// long enough for a fold to span several kernel blocks.
+TablePtr Cycled(const TablePtr& pool, int64_t size) {
+  auto table = std::make_shared<Table>(pool->schema());
+  for (int64_t r = 0; r < size; ++r) {
+    EXPECT_TRUE(table->AppendRow(pool->GetRow(r % pool->num_rows())).ok());
+  }
+  return table;
+}
+
+class IncrementalGroupByVsReferenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IncrementalGroupByVsReferenceTest, CommittedFoldsMatchReference) {
+  TablePtr pool = MakeRandomTable(GetParam());
+  const int64_t n = pool->num_rows();
+  const std::vector<AggregateSpec> aggs = AllAggregates();
+  // The fixed append schedules plus a random one. The table runs a few rows
+  // ahead of each fold, so a fold covers a prefix of the table, and its
+  // column arrays move between folds as they grow.
+  std::mt19937_64 rng(GetParam());
+  std::vector<std::vector<int64_t>> schedules = AppendSchedules(n);
+  std::vector<int64_t> random_points;
+  for (int64_t end = 0; end < n;) {
+    end = std::min<int64_t>(n, end + 1 + static_cast<int64_t>(rng() % 40));
+    random_points.push_back(end);
+  }
+  schedules.push_back(random_points);
+  for (const std::vector<int>& cols : AllGroupSets()) {
+    for (const std::vector<int64_t>& schedule : schedules) {
+      TablePtr table = PrefixTable(pool, 0);
+      auto groups = IncrementalGroupBy::Make(table, cols, aggs);
+      ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+      for (int64_t end : schedule) {
+        const int64_t grown = std::min<int64_t>(n, end + static_cast<int64_t>(rng() % 4));
+        for (int64_t r = table->num_rows(); r < grown; ++r) {
+          ASSERT_TRUE(table->AppendRow(pool->GetRow(r)).ok());
+        }
+        ASSERT_TRUE((*groups)->PrepareFold(end).ok());
+        (*groups)->CommitFold();
+        ASSERT_EQ((*groups)->rows_folded(), end);
+        EXPECT_TRUE(SameGroups(Observed(**groups, aggs.size()), Expected(pool, end, cols, aggs)))
+            << "seed " << GetParam() << " group set " << cols.front() << "/" << cols.size()
+            << " fold end " << end;
+      }
+    }
+  }
+}
+
+TEST_P(IncrementalGroupByVsReferenceTest, StoppedAndDiscardedFoldsChangeNothing) {
+  TablePtr pool = MakeRandomTable(GetParam());
+  const int64_t base = pool->num_rows() / 4;
+  // A delta spanning more than two blocks, whose first block both creates
+  // groups and touches committed ones.
+  TablePtr cycled = Cycled(pool, base + 2 * kKernelBlockSize + 1);
+  const std::vector<AggregateSpec> aggs = AllAggregates();
+  for (const std::vector<int>& cols : AllGroupSets()) {
+    TablePtr table = PrefixTable(cycled, base);
+    auto made = IncrementalGroupBy::Make(table, cols, aggs);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    IncrementalGroupBy& groups = **made;
+    ASSERT_TRUE(groups.PrepareFold(base).ok());
+    groups.CommitFold();
+    for (int64_t r = base; r < cycled->num_rows(); ++r) {
+      ASSERT_TRUE(table->AppendRow(cycled->GetRow(r)).ok());
+    }
+    const GroupRows before = Observed(groups, aggs.size());
+
+    // A cancelled token stops the fold after its first block.
+    CancellationSource source;
+    source.RequestCancel();
+    StopToken stop(Deadline::Infinite(), source.token());
+    const Status stopped = groups.PrepareFold(table->num_rows(), &stop);
+    EXPECT_TRUE(stopped.IsStop()) << stopped.ToString();
+    EXPECT_TRUE(groups.staged_touched().empty());
+    EXPECT_EQ(groups.rows_folded(), base);
+    EXPECT_TRUE(SameGroups(Observed(groups, aggs.size()), before)) << "after a stopped fold";
+
+    // A whole fold, then DiscardFold.
+    ASSERT_TRUE(groups.PrepareFold(table->num_rows()).ok());
+    EXPECT_FALSE(groups.staged_touched().empty());
+    groups.DiscardFold();
+    EXPECT_EQ(groups.rows_folded(), base);
+    EXPECT_TRUE(SameGroups(Observed(groups, aggs.size()), before)) << "after DiscardFold";
+
+    // Neither left a trace behind: the next fold lands on the reference.
+    ASSERT_TRUE(groups.PrepareFold(table->num_rows()).ok());
+    groups.CommitFold();
+    EXPECT_TRUE(SameGroups(Observed(groups, aggs.size()),
+                           Expected(cycled, cycled->num_rows(), cols, aggs)))
+        << "seed " << GetParam() << " group set " << cols.front() << "/" << cols.size();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalGroupByVsReferenceTest,
                          ::testing::Values(7u, 21u, 42u, 99u, 1337u, 2026u),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);

@@ -11,6 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 
 #include <chrono>
@@ -573,26 +574,43 @@ Result<std::string> ReadLine(int fd, std::string* buffer) {
 }
 
 TEST_F(ServerTest, TcpServerAnswersOverARealSocket) {
+  // Declared before the server, so they outlive every request it runs.
+  Gate gate;
+  std::atomic<bool> held{false};
   ServerOptions options;
   options.num_workers = 2;
   options.port = 0;  // ephemeral
   CapeServer server(engine_, options);
   ASSERT_TRUE(server.Start().ok());
   ASSERT_GT(server.port(), 0);
+  // The first request to execute waits until the test opens the gate, so the
+  // other worker answers the second pipelined request first.
+  server.scheduler().SetExecutionHookForTest([&] {
+    if (!held.exchange(true)) gate.Enter();
+  });
 
   const int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
   std::string buffer;
 
-  // Two pipelined requests on one connection.
+  // Two pipelined requests on one connection: answers arrive in completion
+  // order, each carrying its request's id.
   ASSERT_TRUE(SendAll(fd, "[id=9] ping\n[id=10] stats\n").ok());
-  auto pong = ReadLine(fd, &buffer);
-  ASSERT_TRUE(pong.ok()) << pong.status().ToString();
-  EXPECT_NE(pong->find("\"id\":9"), std::string::npos) << *pong;
-  EXPECT_NE(pong->find("\"outcome\":\"ok\""), std::string::npos) << *pong;
-  auto stats = ReadLine(fd, &buffer);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("\"serve_requests\""), std::string::npos) << *stats;
+  auto first = ReadLine(fd, &buffer);
+  gate.Open();
+  auto second = ReadLine(fd, &buffer);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  auto has_id = [](const std::string& line, int id) {
+    return line.rfind("{\"id\":" + std::to_string(id) + ",", 0) == 0;
+  };
+  const bool ping_first = has_id(*first, 9);
+  const std::string& pong = ping_first ? *first : *second;
+  const std::string& stats = ping_first ? *second : *first;
+  EXPECT_TRUE(has_id(pong, 9)) << pong;
+  EXPECT_NE(pong.find("\"outcome\":\"ok\""), std::string::npos) << pong;
+  EXPECT_TRUE(has_id(stats, 10)) << stats;
+  EXPECT_NE(stats.find("\"serve_requests\""), std::string::npos) << stats;
 
   ASSERT_TRUE(SendAll(fd, PlantedExplainLine("[id=11 deadline_ms=30000]") + "\n").ok());
   auto explain = ReadLine(fd, &buffer);

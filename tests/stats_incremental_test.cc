@@ -1,11 +1,9 @@
-// Property/metamorphic tests for the mergeable accumulators behind
-// incremental pattern maintenance (DESIGN.md §16): RunningStats::Merge
-// (Chan et al.'s parallel Welford fold) and RegressionMoments (plain moment
-// sums with closed-form constant/linear readouts). The maintainer's
-// correctness story leans on these being associative, order-independent, and
-// numerically indistinguishable from the batch formulas — so those are
-// exactly the properties pinned here, on adversarial inputs: near-constant
-// streams, huge magnitude spreads, and null/NaN-adjacent mixes.
+// Property/metamorphic tests for the streaming accumulators: RunningStats
+// (Welford) and the mergeable RegressionMoments (plain moment sums with
+// closed-form constant/linear readouts). Merged moments must be associative
+// and numerically indistinguishable from the batch formulas, and Welford must
+// stay stable where the naive sum-of-squares fails — pinned on adversarial
+// inputs: near-constant streams, huge magnitude spreads, and sparse mixes.
 
 #include <gtest/gtest.h>
 
@@ -47,23 +45,11 @@ std::vector<double> NearConstantStream(size_t n, uint64_t seed) {
   return xs;
 }
 
-/// Magnitudes spanning ~1e-8 .. 1e8 with mixed signs.
-std::vector<double> HugeSpreadStream(size_t n, uint64_t seed) {
-  std::vector<double> xs;
-  xs.reserve(n);
-  uint64_t state = seed;
-  for (size_t i = 0; i < n; ++i) {
-    const double mag = std::pow(10.0, UnitUniform(&state) * 16.0 - 8.0);
-    xs.push_back((SplitMix64(&state) & 1) ? mag : -mag);
-  }
-  return xs;
-}
-
 /// The null-handling convention under test: the production fold (the
 /// maintainer, EvaluateSplit) skips nulls *before* the accumulator ever sees
 /// a value, so "null mixes" here means sparse streams — every third value
-/// dropped — and the property is that merging the kept values in any
-/// grouping agrees with the batch pass over the kept values.
+/// dropped — and the readouts over the kept values must match the batch fit
+/// over the kept values.
 std::vector<double> SparseStream(size_t n, uint64_t seed) {
   std::vector<double> xs;
   uint64_t state = seed;
@@ -75,34 +61,9 @@ std::vector<double> SparseStream(size_t n, uint64_t seed) {
   return xs;
 }
 
-// Batch references computed in long double to act as ground truth.
-struct BatchMoments {
-  long double mean = 0.0L;
-  long double m2 = 0.0L;  // sum of squared deviations from the mean
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-};
-
-BatchMoments BatchReference(const std::vector<double>& xs) {
-  BatchMoments b;
-  if (xs.empty()) return b;
-  long double sum = 0.0L;
-  for (double x : xs) {
-    sum += x;
-    if (x < b.min) b.min = x;
-    if (x > b.max) b.max = x;
-  }
-  b.mean = sum / static_cast<long double>(xs.size());
-  for (double x : xs) {
-    const long double d = static_cast<long double>(x) - b.mean;
-    b.m2 += d * d;
-  }
-  return b;
-}
-
-/// Relative-error bound used throughout: Welford and Chan's merge are both
-/// backward-stable, so everything should agree with the long-double batch
-/// pass to a small multiple of double epsilon per element folded.
+/// Relative-error bound used throughout: the moment sums and their readouts
+/// are backward-stable, so they agree with the batch formulas to a small
+/// multiple of double epsilon per element folded.
 void ExpectClose(double got, long double want, double n, const char* what) {
   const double scale = std::max(std::abs(static_cast<double>(want)), 1.0);
   const double bound = 64.0 * n * std::numeric_limits<double>::epsilon() * scale;
@@ -115,130 +76,13 @@ RunningStats FoldAll(const std::vector<double>& xs) {
   return s;
 }
 
-/// Splits xs into `pieces` contiguous chunks, folds each into its own
-/// accumulator, and merges left-to-right.
-RunningStats ChunkedMerge(const std::vector<double>& xs, size_t pieces) {
-  RunningStats merged;
-  const size_t chunk = xs.size() / pieces + 1;
-  for (size_t begin = 0; begin < xs.size(); begin += chunk) {
-    RunningStats part;
-    const size_t end = std::min(xs.size(), begin + chunk);
-    for (size_t i = begin; i < end; ++i) part.Add(xs[i]);
-    merged.Merge(part);
-  }
-  return merged;
-}
-
-void ExpectSameStats(const RunningStats& a, const RunningStats& b, double n) {
-  EXPECT_EQ(a.count(), b.count());
-  ExpectClose(a.mean(), b.mean(), n, "mean");
-  ExpectClose(a.variance(), b.variance(), n, "variance");
-  EXPECT_EQ(a.min(), b.min());  // min/max are exact under any grouping
-  EXPECT_EQ(a.max(), b.max());
-}
-
-// ---------------------------------------------------------------------------
-// RunningStats::Merge
-
-TEST(StatsIncrementalTest, MergeMatchesBatchOnAdversarialStreams) {
-  const std::vector<std::vector<double>> streams = {
-      NearConstantStream(4096, 7),
-      HugeSpreadStream(4096, 21),
-      SparseStream(4096, 42),
-  };
-  for (const auto& xs : streams) {
-    const BatchMoments want = BatchReference(xs);
-    const double n = static_cast<double>(xs.size());
-    for (size_t pieces : {1u, 2u, 3u, 17u, 512u}) {
-      const RunningStats merged = ChunkedMerge(xs, pieces);
-      ASSERT_EQ(merged.count(), xs.size());
-      ExpectClose(merged.mean(), want.mean, n, "mean");
-      ExpectClose(merged.variance(), want.m2 / static_cast<long double>(xs.size()), n,
-                  "variance");
-      EXPECT_EQ(merged.min(), want.min);
-      EXPECT_EQ(merged.max(), want.max);
-    }
-  }
-}
-
-TEST(StatsIncrementalTest, MergeIsAssociative) {
-  const std::vector<double> xs = HugeSpreadStream(3000, 99);
-  RunningStats a = FoldAll({xs.begin(), xs.begin() + 1000});
-  RunningStats b = FoldAll({xs.begin() + 1000, xs.begin() + 2000});
-  RunningStats c = FoldAll({xs.begin() + 2000, xs.end()});
-
-  // (a + b) + c
-  RunningStats left = a;
-  left.Merge(b);
-  left.Merge(c);
-  // a + (b + c)
-  RunningStats bc = b;
-  bc.Merge(c);
-  RunningStats right = a;
-  right.Merge(bc);
-
-  ExpectSameStats(left, right, static_cast<double>(xs.size()));
-}
-
-TEST(StatsIncrementalTest, MergeIsOrderIndependent) {
-  const std::vector<double> xs = NearConstantStream(3000, 1337);
-  RunningStats a = FoldAll({xs.begin(), xs.begin() + 1000});
-  RunningStats b = FoldAll({xs.begin() + 1000, xs.begin() + 2000});
-  RunningStats c = FoldAll({xs.begin() + 2000, xs.end()});
-
-  RunningStats abc = a;
-  abc.Merge(b);
-  abc.Merge(c);
-  RunningStats cba = c;
-  cba.Merge(b);
-  cba.Merge(a);
-
-  ExpectSameStats(abc, cba, static_cast<double>(xs.size()));
-}
-
-TEST(StatsIncrementalTest, MergeIdentityAndAbsorption) {
-  const std::vector<double> xs = SparseStream(500, 2026);
-  const RunningStats folded = FoldAll(xs);
-
-  // Empty is a two-sided identity — bit-exact, not just close.
-  RunningStats left_identity;
-  left_identity.Merge(folded);
-  EXPECT_EQ(left_identity.mean(), folded.mean());
-  EXPECT_EQ(left_identity.variance(), folded.variance());
-  EXPECT_EQ(left_identity.count(), folded.count());
-
-  RunningStats right_identity = folded;
-  right_identity.Merge(RunningStats());
-  EXPECT_EQ(right_identity.mean(), folded.mean());
-  EXPECT_EQ(right_identity.variance(), folded.variance());
-  EXPECT_EQ(right_identity.count(), folded.count());
-}
-
-TEST(StatsIncrementalTest, SingletonMergesEqualSequentialAdds) {
-  // Folding every element through a singleton accumulator and merging is the
-  // degenerate "batch of one" schedule — the same shape a 1-row append
-  // produces in the maintainer.
-  const std::vector<double> xs = HugeSpreadStream(800, 4242);
-  const RunningStats sequential = FoldAll(xs);
-  RunningStats merged;
-  for (double x : xs) {
-    RunningStats one;
-    one.Add(x);
-    merged.Merge(one);
-  }
-  ExpectSameStats(merged, sequential, static_cast<double>(xs.size()));
-}
-
 TEST(StatsIncrementalTest, NearConstantVarianceStaysNonNegativeAndTiny) {
   // The classic failure of naive sum-of-squares: variance of ~1e-3-wide
-  // noise around 1e9 comes out negative or ~1e2. Welford + Chan must keep it
-  // non-negative and at the right scale under any merge schedule.
-  const std::vector<double> xs = NearConstantStream(4096, 7);
-  for (size_t pieces : {1u, 8u, 64u}) {
-    const RunningStats s = ChunkedMerge(xs, pieces);
-    EXPECT_GE(s.variance(), 0.0);
-    EXPECT_LT(s.variance(), 1.0e-5);
-  }
+  // noise around 1e9 comes out negative or ~1e2. Welford must keep it
+  // non-negative and at the right scale.
+  const RunningStats s = FoldAll(NearConstantStream(4096, 7));
+  EXPECT_GE(s.variance(), 0.0);
+  EXPECT_LT(s.variance(), 1.0e-5);
 }
 
 // ---------------------------------------------------------------------------

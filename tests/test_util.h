@@ -12,8 +12,10 @@ namespace cape {
 /// case alone. ctest runs every discovered case as its own process, in
 /// parallel, and all of them share TempDir(), so a fixed file name there
 /// lets two cases overwrite each other's files. The path carries the case's
-/// suite and test name; `name` tells one case's files apart. Re-running a
-/// case reuses its paths, so repeated runs leave no growing pile behind.
+/// suite and test name; `name` tells one case's files apart. Under ctest,
+/// TempDir() is the build tree's own tmp/ directory (TEST_TMPDIR, set in
+/// tests/CMakeLists.txt), so two build trees never share a path. Re-running
+/// a case reuses its paths, so repeated runs leave no growing pile behind.
 inline std::string TestTempPath(const std::string& name) {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();

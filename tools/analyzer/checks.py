@@ -190,8 +190,7 @@ CANCELLATION_DIRS = ("src/pattern/", "src/relational/", "src/explain/",
 DATA_BOUND_RE = re.compile(
     r"\bnum_rows\b|\bnum_pages\b|\bpage_count\b|\bnum_groups\b|"
     r"\bnum_fragments\b|\brow_count\b|\brows_folded\b|\bend_row\b|"
-    r"\btotal_rows\b|\bn_rows\b|\bnum_tuples\b|\brows\.size\b|"
-    r"\bstaged_num_groups\b")
+    r"\btotal_rows\b|\bn_rows\b|\bnum_tuples\b|\brows\.size\b")
 DATA_CONTAINER_RE = re.compile(
     r"(?:^|[\s.>:&*(])(?:\w*_)?(rows|pages|fragments|frags|groups|"
     r"candidates|cands|patterns|tuples|row_ids|matches)_?\s*$")
