@@ -9,8 +9,7 @@ namespace cape {
 
 Engine::Engine(TablePtr table)
     : table_(std::move(table)),
-      distance_model_(DistanceModel::MakeDefault(*table_)),
-      stats_cell_(std::make_unique<StatsCell>()) {}
+      distance_model_(DistanceModel::MakeDefault(*table_)) {}
 
 Result<Engine> Engine::FromTable(TablePtr table) {
   if (table == nullptr) return Status::InvalidArgument("table must not be null");
@@ -23,16 +22,8 @@ Result<Engine> Engine::FromTable(TablePtr table) {
 
 Result<Engine> Engine::FromCsvFile(const std::string& path, const CsvReadOptions& options,
                                    CsvParseReport* report) {
-  CsvParseReport local_report;
-  if (report == nullptr) report = &local_report;
   CAPE_ASSIGN_OR_RETURN(TablePtr table, ReadCsvFile(path, options, report));
-  CAPE_ASSIGN_OR_RETURN(Engine engine, FromTable(std::move(table)));
-  {
-    MutexLock lock(engine.stats_cell_->mu);
-    engine.stats_cell_->stats.rows_loaded = report->num_rows_loaded;
-    engine.stats_cell_->stats.rows_quarantined = report->num_rows_quarantined;
-  }
-  return engine;
+  return FromTable(std::move(table));
 }
 
 Status Engine::MinePatterns(const std::string& miner_name) {
@@ -42,42 +33,21 @@ Status Engine::MinePatterns(const std::string& miner_name) {
     fingerprint = table_->Fingerprint();
     config_digest = MiningConfigDigest(mining_config_);
     if (auto cached = pattern_cache_->Lookup(fingerprint, config_digest)) {
-      // Serving-cache hit: zero mining work. mine_ns == 0 is the observable
-      // contract benches and tests pin (DESIGN.md §11).
+      // Serving-cache hit: zero mining work. A zeroed mining_profile() is
+      // the observable contract benches and tests pin (DESIGN.md §11).
       patterns_ = std::move(cached);
       mining_profile_ = MiningProfile{};
-      MutexLock lock(stats_cell_->mu);
-      RunStats& stats = stats_cell_->stats;
-      stats.mine_ns = 0;
-      stats.mine_cpu_ns = 0;
-      stats.mine_rows_scanned = 0;
-      stats.mine_candidates = 0;
-      stats.mine_candidates_skipped_fd = 0;
-      stats.patterns_mined = static_cast<int64_t>(patterns_->size());
-      stats.mine_truncated = false;
-      stats.mine_stop_reason = StopReason::kNone;
-      stats.cache_hits += 1;
+      run_stats_.mine_truncated = false;
+      run_stats_.mine_stop_reason = StopReason::kNone;
       return Status::OK();
     }
-    MutexLock lock(stats_cell_->mu);
-    stats_cell_->stats.cache_misses += 1;
   }
   CAPE_ASSIGN_OR_RETURN(auto miner, MakeMinerByName(miner_name));
   CAPE_ASSIGN_OR_RETURN(MiningResult result, miner->Mine(*table_, mining_config_));
   patterns_ = std::make_shared<const PatternSet>(std::move(result.patterns));
   mining_profile_ = result.profile;
-  {
-    MutexLock lock(stats_cell_->mu);
-    RunStats& stats = stats_cell_->stats;
-    stats.mine_ns = result.profile.total_ns;
-    stats.mine_cpu_ns = result.profile.cpu_ns;
-    stats.mine_rows_scanned = result.profile.num_rows_scanned;
-    stats.mine_candidates = result.profile.num_candidates;
-    stats.mine_candidates_skipped_fd = result.profile.num_candidates_skipped_fd;
-    stats.patterns_mined = static_cast<int64_t>(patterns_->size());
-    stats.mine_truncated = result.truncated;
-    stats.mine_stop_reason = result.stop_reason;
-  }
+  run_stats_.mine_truncated = result.truncated;
+  run_stats_.mine_stop_reason = result.stop_reason;
   // Truncated results hold a subset of the full pattern set; caching one
   // would serve incomplete explanations to every later request. Cache
   // admission itself is best-effort: a fault here (simulated concurrent
@@ -85,10 +55,7 @@ Status Engine::MinePatterns(const std::string& miner_name) {
   // leaves the cache cold — the request still succeeds.
   if (pattern_cache_ != nullptr && !result.truncated &&
       !CAPE_FAILPOINT_FIRES("engine.cache_admit")) {
-    const int64_t evictions =
-        pattern_cache_->Insert(fingerprint, config_digest, patterns_, table_->schema());
-    MutexLock lock(stats_cell_->mu);
-    stats_cell_->stats.cache_evictions += evictions;
+    pattern_cache_->Insert(fingerprint, config_digest, patterns_, table_->schema());
   }
   return Status::OK();
 }
@@ -104,22 +71,16 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
   // the pre-append key the cache entry currently lives under.
   if (use_cache) old_fingerprint = table_->Fingerprint();
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->AppendRow(row));
-  {
-    MutexLock lock(stats_cell_->mu);
-    stats_cell_->stats.maint_appends += 1;
-    stats_cell_->stats.maint_rows_appended += static_cast<int64_t>(rows.size());
-  }
+  run_stats_.maint_appends += 1;
+  run_stats_.maint_rows_appended += static_cast<int64_t>(rows.size());
 
   Status incremental = patterns_ == nullptr
                            ? Status::InvalidArgument("no prior pattern set to maintain")
                            : MaintainIncrementally(config_digest);
   if (incremental.ok()) {
     if (use_cache) {
-      const int64_t evictions =
-          pattern_cache_->Upgrade(old_fingerprint, table_->Fingerprint(), config_digest,
-                                  patterns_, table_->schema());
-      MutexLock lock(stats_cell_->mu);
-      stats_cell_->stats.cache_evictions += evictions;
+      pattern_cache_->Upgrade(old_fingerprint, table_->Fingerprint(), config_digest,
+                              patterns_, table_->schema());
     }
     return Status::OK();
   }
@@ -133,10 +94,7 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
   // cold mine of the current table produces.
   maintainer_.reset();
   if (use_cache) pattern_cache_->Erase(old_fingerprint, config_digest);
-  {
-    MutexLock lock(stats_cell_->mu);
-    stats_cell_->stats.maint_full_remines += 1;
-  }
+  run_stats_.maint_full_remines += 1;
   return MinePatterns(miner_name);
 }
 
@@ -164,11 +122,8 @@ Status Engine::MaintainIncrementally(uint64_t config_digest) {
                                  (after.locals_replaced - replaced_before);
   int64_t retained = patterns_->NumLocalPatterns() - touched_locals;
   if (retained < 0) retained = 0;
-  MutexLock lock(stats_cell_->mu);
-  RunStats& stats = stats_cell_->stats;
-  stats.maint_patterns_revalidated += revalidated;
-  stats.maint_patterns_retained += retained;
-  stats.patterns_mined = static_cast<int64_t>(patterns_->size());
+  run_stats_.maint_patterns_revalidated += revalidated;
+  run_stats_.maint_patterns_retained += retained;
   return Status::OK();
 }
 
@@ -213,22 +168,7 @@ Result<ExplainResult> Engine::Explain(const UserQuestion& question, bool optimiz
     return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
   }
   auto generator = optimized ? MakeOptimizedExplainer() : MakeNaiveExplainer();
-  CAPE_ASSIGN_OR_RETURN(
-      ExplainResult result,
-      generator->Explain(question, *patterns_, distance_model_, explain_config_));
-  {
-    MutexLock lock(stats_cell_->mu);
-    RunStats& stats = stats_cell_->stats;
-    stats.explain_ns = result.profile.total_ns;
-    stats.explain_cpu_ns = result.profile.cpu_ns;
-    stats.explain_pairs_considered = result.profile.num_refinement_pairs;
-    stats.explain_pairs_pruned = result.profile.num_pairs_pruned;
-    stats.explain_tuples_checked = result.profile.num_tuples_checked;
-    stats.explain_partial = result.partial;
-    stats.explain_stop_reason = result.stop_reason;
-    stats.explain_stopped_stage = result.stopped_stage;
-  }
-  return result;
+  return generator->Explain(question, *patterns_, distance_model_, explain_config_);
 }
 
 Result<ExplainResult> Engine::ExplainBaseline(const UserQuestion& question) const {

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "core/pattern_cache.h"
 #include "explain/baseline.h"
@@ -20,50 +18,22 @@
 
 namespace cape {
 
-/// Per-request observability: what the engine did for the most recent load,
-/// mining, and explanation calls (wall time per stage, rows scanned,
-/// pruning counters, and whether the stage was cut short by a deadline or
-/// cancellation).
+/// The counters only the engine keeps: whether the last mine was cut short,
+/// and the incremental-maintenance totals. Every other counter lives with
+/// the module that does the work — mining_profile(), ExplainResult::profile,
+/// CsvParseReport, PatternCache::stats(), the table's PageSource::stats()
+/// and RequestScheduler::stats() (DESIGN.md §8 maps each to its STATS key).
+/// Only MinePatterns and AppendAndRemine write these.
 struct RunStats {
-  // Load stage (FromCsvFile).
-  int64_t rows_loaded = 0;
-  int64_t rows_quarantined = 0;
-
-  // Mining stage (last MinePatterns call). mine_ns is wall time; mine_cpu_ns
-  // is work summed across pool workers (their ratio is the effective mining
-  // parallelism; equal when num_threads == 1 up to timer overhead).
-  int64_t mine_ns = 0;
-  int64_t mine_cpu_ns = 0;
-  int64_t mine_rows_scanned = 0;
-  int64_t mine_candidates = 0;
-  int64_t mine_candidates_skipped_fd = 0;
-  int64_t patterns_mined = 0;
+  // Last MinePatterns call (a cache hit reports an untruncated run).
   bool mine_truncated = false;
   StopReason mine_stop_reason = StopReason::kNone;
 
-  // Explain stage (last Explain call). Wall vs. summed-CPU split as above.
-  int64_t explain_ns = 0;
-  int64_t explain_cpu_ns = 0;
-  int64_t explain_pairs_considered = 0;
-  int64_t explain_pairs_pruned = 0;
-  int64_t explain_tuples_checked = 0;
-  bool explain_partial = false;
-  StopReason explain_stop_reason = StopReason::kNone;
-  std::string explain_stopped_stage;
-
-  // Pattern cache (cumulative over this engine's MinePatterns/LoadPatterns
-  // calls; zero when no cache is attached). A warm-cache MinePatterns run
-  // reports cache_hits == 1 with mine_ns == 0: zero mining work was done.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-
-  // Incremental maintenance counters (cumulative over this engine's
-  // AppendAndRemine calls; all zero otherwise — DESIGN.md §16).
-  // `maint_patterns_revalidated` counts (fragment, candidate) combinations
-  // re-fitted because an append touched their group keys;
-  // `maint_patterns_retained` counts local patterns carried into the new set
-  // verbatim, without any re-fit — the incremental win.
+  // Incremental maintenance, cumulative over AppendAndRemine calls
+  // (DESIGN.md §16). `maint_patterns_revalidated` counts (fragment,
+  // candidate) combinations re-fitted because an append touched their group
+  // keys; `maint_patterns_retained` counts local patterns carried into the
+  // new set verbatim, without any re-fit — the incremental win.
   // `maint_full_remines` counts calls that fell back to a from-scratch mine
   // (unsupported config, NaN data, or an injected/real maintenance fault).
   int64_t maint_appends = 0;
@@ -71,27 +41,6 @@ struct RunStats {
   int64_t maint_patterns_revalidated = 0;
   int64_t maint_patterns_retained = 0;
   int64_t maint_full_remines = 0;
-
-  // Serving counters (cumulative, bumped by the request scheduler when this
-  // engine backs a server — DESIGN.md §13; zero otherwise). `serve_requests`
-  // counts admitted requests; `serve_rejected` structured admission
-  // rejections (OVERLOADED / RETRY_AFTER); `serve_shed` admitted requests
-  // dropped before execution because their deadline had already expired;
-  // `serve_deadline_truncated` requests answered with a deadline-truncated
-  // (partial but subset-consistent) result.
-  int64_t serve_requests = 0;
-  int64_t serve_rejected = 0;
-  int64_t serve_shed = 0;
-  int64_t serve_deadline_truncated = 0;
-
-  // Paged-storage counters (snapshot of the table's PageSource cache at
-  // run_stats() time; all zero for fully in-memory tables — DESIGN.md §15).
-  // page_misses is the page-fault count: pins that had to read from disk.
-  int64_t page_hits = 0;
-  int64_t page_misses = 0;
-  int64_t page_evictions = 0;
-  int64_t page_bytes_read = 0;
-  int64_t page_bytes_pinned = 0;
 };
 
 /// The CAPE system facade: load a relation, mine aggregate regression
@@ -113,14 +62,13 @@ struct RunStats {
 ///
 /// Concurrency contract (the serving path relies on this): once the offline
 /// phase is done — configuration set, patterns mined or loaded — the const
-/// surface is re-entrant. Any number of threads may call Explain(),
-/// ExplainBaseline(), MakeQuestion(), MakeExplainSession(), run_stats(), and
-/// the accessors concurrently; observability is recorded under an internal
-/// stats mutex (last-writer-wins for the per-request explain_* fields,
-/// exact sums for the cumulative counters). The non-const surface
-/// (MinePatterns, LoadPatterns, set_* and the mutable config accessors) is
-/// NOT safe to run concurrently with the const surface — servers do all
-/// mutation before accepting traffic (DESIGN.md §13).
+/// surface is re-entrant and writes no engine state. Any number of threads
+/// may call Explain(), ExplainBaseline(), MakeQuestion(),
+/// MakeExplainSession(), run_stats(), and the accessors concurrently. The
+/// non-const surface (MinePatterns, AppendAndRemine, LoadPatterns, set_* and
+/// the mutable config accessors) is NOT safe to run concurrently with the
+/// const surface — servers mine before accepting traffic and run APPEND
+/// under a write gate that excludes every reader (DESIGN.md §13).
 class Engine {
  public:
   /// Wraps an in-memory relation. The table must validate.
@@ -128,7 +76,7 @@ class Engine {
 
   /// Loads a relation from a CSV file (types inferred by default). With
   /// options.quarantine_malformed set, malformed rows are skipped and
-  /// counted in run_stats().rows_quarantined (and in `report` when given).
+  /// counted in `report` when given.
   static Result<Engine> FromCsvFile(const std::string& path,
                                     const CsvReadOptions& options = {},
                                     CsvParseReport* report = nullptr);
@@ -203,42 +151,13 @@ class Engine {
   /// Shared handle to the mined set (what the cache and ExplainSession
   /// hold); nullptr before MinePatterns/SetPatterns/LoadPatterns.
   const std::shared_ptr<const PatternSet>& shared_patterns() const { return patterns_; }
+  /// Time and counters of the last MinePatterns call; all zero after a
+  /// cache hit, which does no mining work.
   const MiningProfile& mining_profile() const { return mining_profile_; }
 
-  /// Snapshot of the per-request statistics for the most recent
-  /// load/mine/explain calls plus the cumulative cache/serving counters.
-  /// Returned by value under the stats mutex, so a snapshot taken while
-  /// other threads run Explain() is internally consistent (never torn).
-  RunStats run_stats() const CAPE_EXCLUDES(stats_cell_->mu) {
-    RunStats snapshot;
-    {
-      MutexLock lock(stats_cell_->mu);
-      snapshot = stats_cell_->stats;
-    }
-    // Overlay the live page-cache counters (the PageSource keeps its own
-    // thread-safe counters; snapshotting here keeps them fresh without the
-    // engine having to hook every pin).
-    if (table_ != nullptr && table_->page_source() != nullptr) {
-      const PageSourceStats ps = table_->page_source()->stats();
-      snapshot.page_hits = ps.hits;
-      snapshot.page_misses = ps.misses;
-      snapshot.page_evictions = ps.evictions;
-      snapshot.page_bytes_read = ps.bytes_read;
-      snapshot.page_bytes_pinned = ps.bytes_pinned;
-    }
-    return snapshot;
-  }
-
-  /// Adds to the cumulative serving counters (called by the request
-  /// scheduler; each delta may be zero). Thread-safe.
-  void RecordServeCounters(int64_t requests, int64_t rejected, int64_t shed,
-                           int64_t deadline_truncated) const CAPE_EXCLUDES(stats_cell_->mu) {
-    MutexLock lock(stats_cell_->mu);
-    stats_cell_->stats.serve_requests += requests;
-    stats_cell_->stats.serve_rejected += rejected;
-    stats_cell_->stats.serve_shed += shed;
-    stats_cell_->stats.serve_deadline_truncated += deadline_truncated;
-  }
+  /// What the last MinePatterns call and every AppendAndRemine call counted
+  /// (see RunStats for where the other counters live).
+  const RunStats& run_stats() const { return run_stats_; }
 
   /// Builds a validated user question against this engine's relation.
   Result<UserQuestion> MakeQuestion(const std::vector<std::string>& group_by,
@@ -272,14 +191,6 @@ class Engine {
   /// the current config, absorb the delta, and publish the finalized set.
   Status MaintainIncrementally(uint64_t config_digest);
 
-  /// Stats live behind a heap cell so the mutex survives Engine moves and
-  /// const methods (Explain) can record observability without `mutable` on
-  /// the whole struct.
-  struct StatsCell {
-    mutable Mutex mu;
-    RunStats stats CAPE_GUARDED_BY(mu);
-  };
-
   TablePtr table_;
   MiningConfig mining_config_;
   ExplainConfig explain_config_;
@@ -290,7 +201,7 @@ class Engine {
   /// Lazily built by AppendAndRemine; reset when the mining config digest
   /// diverges or maintenance degrades to a full re-mine.
   std::unique_ptr<PatternMaintainer> maintainer_;
-  std::unique_ptr<StatsCell> stats_cell_;
+  RunStats run_stats_;
 };
 
 }  // namespace cape

@@ -449,11 +449,7 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
   // observable state: group folds publish by move, bucket/local updates are
   // per-fragment and idempotent re Finalize().
   for (GroupSetState& gs : rep.group_sets) {
-    const int64_t committed = gs.groups->num_groups();
-    for (int64_t id : gs.groups->staged_touched()) {
-      rep.stats.groups_touched += 1;
-      if (id >= committed) rep.stats.groups_created += 1;
-    }
+    rep.stats.groups_touched += static_cast<int64_t>(gs.groups->staged_touched().size());
     gs.groups->CommitFold();
   }
   for (FragmentDelta& delta : pending) {
@@ -482,8 +478,8 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
         } else {
           rep.stats.locals_replaced += 1;
         }
-      } else if (locals.erase(delta.key) > 0) {
-        rep.stats.locals_dropped += 1;
+      } else {
+        locals.erase(delta.key);
       }
     }
   }

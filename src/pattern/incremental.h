@@ -23,8 +23,6 @@ struct MaintenanceStats {
   /// Group states (summed over all maintained G sets) whose aggregates a
   /// delta changed or created.
   int64_t groups_touched = 0;
-  /// Subset of groups_touched that were first seen in a delta.
-  int64_t groups_created = 0;
   /// Fragments whose candidate models were re-fitted because a delta touched
   /// at least one of their groups. Untouched fragments keep their local
   /// patterns verbatim — that gap versus the total fragment count is the
@@ -33,11 +31,10 @@ struct MaintenanceStats {
   /// (fragment, candidate) combinations re-validated via the exact same
   /// FitFragmentCandidate path the from-scratch miners use.
   int64_t candidates_revalidated = 0;
-  /// Local patterns that appeared / disappeared / were re-fitted in place
-  /// under re-validation. Locals in Finalize() beyond added+replaced were
-  /// retained verbatim from the previous fold point.
+  /// Local patterns that appeared / were re-fitted in place under
+  /// re-validation. Locals in Finalize() beyond added+replaced were retained
+  /// verbatim from the previous fold point.
   int64_t locals_added = 0;
-  int64_t locals_dropped = 0;
   int64_t locals_replaced = 0;
 };
 

@@ -10,8 +10,8 @@
 namespace cape {
 
 /// Counters a PageSource maintains about its cache behavior. Snapshots are
-/// plain values; Engine::run_stats() overlays them into RunStats and the
-/// server STATS verb forwards them to operators.
+/// plain values; read them from `table->page_source()->stats()` (the server
+/// STATS verb forwards them to operators as its page_* keys).
 struct PageSourceStats {
   int64_t hits = 0;        ///< Pin() satisfied without IO.
   int64_t misses = 0;      ///< Pin() that had to read the page ("page fault").

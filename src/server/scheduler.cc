@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <exception>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
 #include "common/string_util.h"
@@ -19,39 +21,45 @@ int64_t NowNanos() {
       .count();
 }
 
-std::string SchedulerStatsJson(const RequestScheduler::Stats& s) {
+/// Renders `{"name":value,...}` in the order given.
+std::string CountersJson(
+    std::initializer_list<std::pair<std::string_view, int64_t>> counters) {
   std::string out = "{";
-  out += "\"submitted\":" + std::to_string(s.submitted);
-  out += ",\"ok\":" + std::to_string(s.ok);
-  out += ",\"degraded\":" + std::to_string(s.degraded);
-  out += ",\"truncated\":" + std::to_string(s.truncated);
-  out += ",\"shed\":" + std::to_string(s.shed);
-  out += ",\"overloaded\":" + std::to_string(s.overloaded);
-  out += ",\"retry_after\":" + std::to_string(s.retry_after);
-  out += ",\"errors\":" + std::to_string(s.errors);
-  out += ",\"peak_queued\":" + std::to_string(s.peak_queued);
+  for (const auto& [name, value] : counters) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += name;
+    out += "\":";
+    out += std::to_string(value);
+  }
   return out + "}";
 }
 
-std::string EngineStatsJson(const RunStats& s) {
-  std::string out = "{";
-  out += "\"serve_requests\":" + std::to_string(s.serve_requests);
-  out += ",\"serve_rejected\":" + std::to_string(s.serve_rejected);
-  out += ",\"serve_shed\":" + std::to_string(s.serve_shed);
-  out += ",\"serve_deadline_truncated\":" + std::to_string(s.serve_deadline_truncated);
-  out += ",\"patterns_mined\":" + std::to_string(s.patterns_mined);
-  out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(s.cache_misses);
-  out += ",\"page_hits\":" + std::to_string(s.page_hits);
-  out += ",\"page_misses\":" + std::to_string(s.page_misses);
-  out += ",\"page_evictions\":" + std::to_string(s.page_evictions);
-  out += ",\"page_bytes_pinned\":" + std::to_string(s.page_bytes_pinned);
-  out += ",\"maint_appends\":" + std::to_string(s.maint_appends);
-  out += ",\"maint_rows_appended\":" + std::to_string(s.maint_rows_appended);
-  out += ",\"maint_patterns_revalidated\":" + std::to_string(s.maint_patterns_revalidated);
-  out += ",\"maint_patterns_retained\":" + std::to_string(s.maint_patterns_retained);
-  out += ",\"maint_full_remines\":" + std::to_string(s.maint_full_remines);
-  return out + "}";
+/// The STATS payload, read from each counter's owner (DESIGN.md §8).
+std::string StatsJson(const Engine& engine, const RequestScheduler::Stats& s) {
+  const PatternCache* cache = engine.pattern_cache();
+  const PatternCache::Stats c = cache != nullptr ? cache->stats() : PatternCache::Stats{};
+  const PageSource* pages = engine.table()->page_source().get();
+  const PageSourceStats p = pages != nullptr ? pages->stats() : PageSourceStats{};
+  const RunStats& r = engine.run_stats();
+  const int64_t patterns =
+      engine.has_patterns() ? static_cast<int64_t>(engine.patterns().size()) : 0;
+  return "{\"engine\":" +
+         CountersJson({{"patterns_mined", patterns}, {"cache_hits", c.hits},
+                       {"cache_misses", c.misses}, {"page_hits", p.hits},
+                       {"page_misses", p.misses}, {"page_evictions", p.evictions},
+                       {"page_bytes_pinned", p.bytes_pinned},
+                       {"maint_appends", r.maint_appends},
+                       {"maint_rows_appended", r.maint_rows_appended},
+                       {"maint_patterns_revalidated", r.maint_patterns_revalidated},
+                       {"maint_patterns_retained", r.maint_patterns_retained},
+                       {"maint_full_remines", r.maint_full_remines}}) +
+         ",\"scheduler\":" +
+         CountersJson({{"submitted", s.submitted}, {"ok", s.ok}, {"degraded", s.degraded},
+                       {"truncated", s.truncated}, {"shed", s.shed},
+                       {"overloaded", s.overloaded}, {"retry_after", s.retry_after},
+                       {"errors", s.errors}, {"peak_queued", s.peak_queued}}) +
+         "}";
 }
 
 /// True when the trimmed statement starts with the APPEND verb ("append"
@@ -130,8 +138,6 @@ void RequestScheduler::Submit(Request request, ResponseCallback done) {
       ++stats_.overloaded;
     }
   }
-  engine_->RecordServeCounters(/*requests=*/0, /*rejected=*/1, /*shed=*/0,
-                               /*deadline_truncated=*/0);
   done(rejection);
 }
 
@@ -295,19 +301,16 @@ Response RequestScheduler::ExecuteAppend(const Pending& pending) {
       response.error = status.message();
       return response;
     }
-    const RunStats stats = mutable_engine_->run_stats();
-    std::string out = "{";
-    out += "\"rows_appended\":" + std::to_string(rows.size());
-    out += ",\"total_rows\":" + std::to_string(mutable_engine_->table()->num_rows());
-    out += ",\"patterns\":" + std::to_string(stats.patterns_mined);
-    out += ",\"maint_appends\":" + std::to_string(stats.maint_appends);
-    out += ",\"maint_patterns_revalidated\":" +
-           std::to_string(stats.maint_patterns_revalidated);
-    out += ",\"maint_patterns_retained\":" + std::to_string(stats.maint_patterns_retained);
-    out += ",\"maint_full_remines\":" + std::to_string(stats.maint_full_remines);
-    out += "}";
+    const RunStats& stats = mutable_engine_->run_stats();
     response.outcome = Outcome::kOk;
-    response.payload_json = std::move(out);
+    response.payload_json = CountersJson(
+        {{"rows_appended", static_cast<int64_t>(rows.size())},
+         {"total_rows", mutable_engine_->table()->num_rows()},
+         {"patterns", static_cast<int64_t>(mutable_engine_->patterns().size())},
+         {"maint_appends", stats.maint_appends},
+         {"maint_patterns_revalidated", stats.maint_patterns_revalidated},
+         {"maint_patterns_retained", stats.maint_patterns_retained},
+         {"maint_full_remines", stats.maint_full_remines}});
     return response;
   } catch (const std::exception& e) {
     response.outcome = Outcome::kError;
@@ -336,8 +339,7 @@ Response RequestScheduler::Execute(const Pending& pending, ExplainSession* sessi
     }
     if (verb == "stats" || verb == "stats;") {
       response.outcome = Outcome::kOk;
-      response.payload_json = "{\"engine\":" + EngineStatsJson(engine_->run_stats()) +
-                              ",\"scheduler\":" + SchedulerStatsJson(stats()) + "}";
+      response.payload_json = StatsJson(*engine_, stats());
       return response;
     }
 
@@ -440,10 +442,6 @@ void RequestScheduler::Finish(Pending* pending, Response response) {
   const int64_t now_ns = NowNanos();
   response.elapsed_ms = (now_ns - pending->enqueue_ns) / 1000000;
   CountOutcome(response.outcome);
-  engine_->RecordServeCounters(
-      /*requests=*/1, /*rejected=*/0,
-      /*shed=*/response.outcome == Outcome::kShed ? 1 : 0,
-      /*deadline_truncated=*/response.outcome == Outcome::kTruncated ? 1 : 0);
   // Post-paid debit: the request's wall occupancy and response bytes.
   admission_.Release(pending->request.tenant, now_ns,
                      static_cast<double>(now_ns - pending->enqueue_ns) / 1e6,

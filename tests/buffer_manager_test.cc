@@ -385,7 +385,7 @@ TEST(BufferManagerTest, PagedScanMatchesInMemoryOperatorsByteForByte) {
   }
 }
 
-TEST(BufferManagerTest, EngineRunStatsExposePageCountersAndMiningMatches) {
+TEST(BufferManagerTest, PagedEngineCountsPagesAndMinesLikeResident) {
   CrimeOptions options;
   options.num_rows = 6000;
   options.num_attrs = 5;
@@ -416,17 +416,17 @@ TEST(BufferManagerTest, EngineRunStatsExposePageCountersAndMiningMatches) {
     return SerializePatternSet(engine->patterns(), engine->schema());
   };
 
-  // Out-of-core NAIVE mining produces the identical pattern set, and the
-  // engine surfaces the buffer-manager counters through run_stats().
+  // Out-of-core NAIVE mining produces the identical pattern set, and its
+  // page traffic shows in the table's buffer-manager counters.
   auto engine = Engine::FromTable(*paged);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   engine->mining_config() = config;
   ASSERT_TRUE(engine->MinePatterns("NAIVE").ok());
-  const RunStats stats = engine->run_stats();
-  EXPECT_GT(stats.page_misses, 0);
-  EXPECT_GT(stats.page_bytes_read, 0);
-  EXPECT_EQ(stats.page_bytes_pinned, 0);  // nothing pinned between requests
-  EXPECT_GT(stats.page_hits + stats.page_misses, (*paged)->page_source()->num_pages());
+  const PageSourceStats stats = engine->table()->page_source()->stats();
+  EXPECT_GT(stats.misses, 0);
+  EXPECT_GT(stats.bytes_read, 0);
+  EXPECT_EQ(stats.bytes_pinned, 0);  // nothing pinned between requests
+  EXPECT_GT(stats.hits + stats.misses, (*paged)->page_source()->num_pages());
 
   const std::string from_paged = SerializePatternSet(engine->patterns(), engine->schema());
   EXPECT_EQ(from_paged, mine(*in_memory));

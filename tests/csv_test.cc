@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "relational/csv.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -84,8 +84,7 @@ TEST(CsvWriteTest, RoundTrip) {
 TEST(CsvFileTest, WriteAndReadFile) {
   auto table = MakeEmptyTable({Field{"x", DataType::kInt64, true}});
   ASSERT_TRUE(table->AppendRow({Value::Int64(11)}).ok());
-  std::string path =
-      (std::filesystem::temp_directory_path() / "cape_csv_test.csv").string();
+  const std::string path = TestTempPath("csv_test.csv");
   ASSERT_TRUE(WriteCsvFile(*table, path).ok());
   auto back = ReadCsvFile(path);
   ASSERT_TRUE(back.ok());

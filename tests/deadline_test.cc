@@ -273,7 +273,6 @@ TEST(ExplainDeadlineTest, PreCancelledExplainReturnsPartial) {
     EXPECT_EQ(result->stop_reason, StopReason::kCancelled);
     EXPECT_TRUE(result->stopped_stage == "norm" || result->stopped_stage == "refine")
         << result->stopped_stage;
-    EXPECT_TRUE(engine.run_stats().explain_partial);
   }
 }
 
@@ -344,24 +343,25 @@ TEST(ExplainDeadlineTest, NoDeadlineMatchesSeedBehaviorExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine surfaces RunStats.
+// Each stage's counters live with the stage: the mining and explain
+// profiles, and RunStats for what only the engine counts.
 
-TEST(RunStatsTest, MiningAndExplainPopulateRunStats) {
+TEST(ProfileTest, MiningAndExplainFillTheirProfiles) {
   Engine engine = MinedDblpEngine(6000);
-  const RunStats& stats = engine.run_stats();
-  EXPECT_GT(stats.mine_ns, 0);
-  EXPECT_GT(stats.mine_rows_scanned, 0);
-  EXPECT_GT(stats.mine_candidates, 0);
-  EXPECT_EQ(stats.patterns_mined, static_cast<int64_t>(engine.patterns().size()));
-  EXPECT_FALSE(stats.mine_truncated);
-  EXPECT_EQ(stats.mine_stop_reason, StopReason::kNone);
+  const MiningProfile& mined = engine.mining_profile();
+  EXPECT_GT(mined.total_ns, 0);
+  EXPECT_GT(mined.num_rows_scanned, 0);
+  EXPECT_GT(mined.num_candidates, 0);
+  EXPECT_FALSE(engine.run_stats().mine_truncated);
+  EXPECT_EQ(engine.run_stats().mine_stop_reason, StopReason::kNone);
 
   auto q = PlantedQuestion(engine);
   ASSERT_TRUE(q.ok());
-  ASSERT_TRUE(engine.Explain(*q).ok());
-  EXPECT_GT(engine.run_stats().explain_ns, 0);
-  EXPECT_GT(engine.run_stats().explain_pairs_considered, 0);
-  EXPECT_FALSE(engine.run_stats().explain_partial);
+  auto result = engine.Explain(*q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(result->profile.total_ns, 0);
+  EXPECT_GT(result->profile.num_refinement_pairs, 0);
+  EXPECT_FALSE(result->partial);
 }
 
 TEST(RunStatsTest, TruncatedMiningIsRecorded) {

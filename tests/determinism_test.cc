@@ -148,7 +148,7 @@ TEST(ParallelEquivalenceTest, ArpMineFdOptimizationsIdenticalAcrossThreadCounts)
   ASSERT_TRUE(reference.MinePatterns("ARP-MINE").ok());
   const std::string expected =
       SerializePatternSet(reference.patterns(), reference.schema());
-  const int64_t skipped = reference.run_stats().mine_candidates_skipped_fd;
+  const int64_t skipped = reference.mining_profile().num_candidates_skipped_fd;
   for (int threads : {2, 4, 8}) {
     Engine engine = MakeEngine(5);
     engine.mining_config().use_fd_optimizations = true;
@@ -156,7 +156,7 @@ TEST(ParallelEquivalenceTest, ArpMineFdOptimizationsIdenticalAcrossThreadCounts)
     ASSERT_TRUE(engine.MinePatterns("ARP-MINE").ok());
     EXPECT_EQ(SerializePatternSet(engine.patterns(), engine.schema()), expected)
         << threads << " threads";
-    EXPECT_EQ(engine.run_stats().mine_candidates_skipped_fd, skipped)
+    EXPECT_EQ(engine.mining_profile().num_candidates_skipped_fd, skipped)
         << threads << " threads";
   }
 }
@@ -294,7 +294,7 @@ TEST(ParallelEquivalenceTest, ConcurrentWarmCacheLookupsAreByteIdentical) {
   Engine reference = MakeEngine(5);
   reference.set_pattern_cache(&cache);
   ASSERT_TRUE(reference.MinePatterns().ok());
-  ASSERT_EQ(reference.run_stats().cache_misses, 1);
+  ASSERT_EQ(cache.stats().misses, 1);
   auto q = reference.MakeQuestion({"author", "venue", "year"},
                                   {Value::String(kDblpPlantedAuthor),
                                    Value::String("SIGKDD"), Value::Int64(2007)},
@@ -312,8 +312,10 @@ TEST(ParallelEquivalenceTest, ConcurrentWarmCacheLookupsAreByteIdentical) {
       workers.emplace_back([&, t] {
         Engine engine = MakeEngine(5);
         engine.set_pattern_cache(&cache);
-        if (!engine.MinePatterns().ok() || engine.run_stats().cache_hits != 1 ||
-            engine.run_stats().mine_ns != 0) {
+        // A hit hands out the reference's set and does no mining work.
+        if (!engine.MinePatterns().ok() ||
+            engine.shared_patterns() != reference.shared_patterns() ||
+            engine.mining_profile().total_ns != 0) {
           failures[static_cast<size_t>(t)] = 1;
           return;
         }

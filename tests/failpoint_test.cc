@@ -356,7 +356,7 @@ TEST(FailpointTest, CacheAdmitFaultLeavesCacheColdButMiningSucceeds) {
   EXPECT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
   EXPECT_EQ(cache.stats().entries, 1);
   EXPECT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-  EXPECT_EQ(fx.engine.run_stats().mine_ns, 0);
+  EXPECT_EQ(fx.engine.mining_profile().total_ns, 0);
   fx.engine.set_pattern_cache(nullptr);
 }
 
@@ -405,10 +405,9 @@ TEST(FailpointTest, PoisonedDiskEntryDegradesToColdMine) {
   }
   fx.engine.set_pattern_cache(&cache);
   ASSERT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-  const RunStats stats = fx.engine.run_stats();
-  EXPECT_EQ(stats.cache_hits, 0);
-  EXPECT_GE(stats.cache_misses, 1);
-  EXPECT_GT(stats.mine_ns, 0);  // a genuine cold mine, not a cache hit
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_GE(cache.stats().misses, 1);
+  EXPECT_GT(fx.engine.mining_profile().total_ns, 0);  // a genuine cold mine, not a hit
   EXPECT_EQ(fx.engine.RenderPatterns(), rendered);
   fx.engine.set_pattern_cache(nullptr);
 

@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "core/engine.h"
 #include "datagen/crime.h"
 #include "datagen/dblp.h"
 #include "datagen/ground_truth.h"
 #include "relational/csv.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -124,8 +124,7 @@ TEST(EngineTest, CsvRoundTrip) {
   options.num_rows = 500;
   auto table = GenerateDblp(options);
   ASSERT_TRUE(table.ok());
-  std::string path =
-      (std::filesystem::temp_directory_path() / "cape_integration.csv").string();
+  const std::string path = TestTempPath("integration.csv");
   ASSERT_TRUE(WriteCsvFile(**table, path).ok());
 
   auto engine = Engine::FromCsvFile(path);

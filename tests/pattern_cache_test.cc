@@ -16,6 +16,7 @@
 #include "core/pattern_cache.h"
 #include "datagen/dblp.h"
 #include "pattern/pattern_io.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -93,8 +94,7 @@ TEST(PatternCacheTest, SaveAndLoadDirectoryRoundTrip) {
 
   PatternCache cache;
   cache.Insert(fingerprint, 77, patterns, table->schema());
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "cape_cache_test_dir").string();
+  const std::string dir = TestTempPath("cache_dir");
   ASSERT_TRUE(cache.SaveToDirectory(dir).ok());
 
   PatternCache restored;
@@ -133,18 +133,17 @@ TEST(PatternCacheTest, EngineMissThenHitServesIdenticalPatterns) {
   Engine cold = MakeEngine(table);
   cold.set_pattern_cache(&cache);
   ASSERT_TRUE(cold.MinePatterns().ok());
-  EXPECT_EQ(cold.run_stats().cache_misses, 1);
-  EXPECT_EQ(cold.run_stats().cache_hits, 0);
-  EXPECT_GT(cold.run_stats().mine_ns, 0);
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_GT(cold.mining_profile().total_ns, 0);
   const std::string expected = SerializePatternSet(cold.patterns(), cold.schema());
 
   Engine warm = MakeEngine(table);
   warm.set_pattern_cache(&cache);
   ASSERT_TRUE(warm.MinePatterns().ok());
-  EXPECT_EQ(warm.run_stats().cache_hits, 1);
-  EXPECT_EQ(warm.run_stats().cache_misses, 0);
-  EXPECT_EQ(warm.run_stats().mine_ns, 0);  // zero mining work
-  EXPECT_EQ(warm.run_stats().patterns_mined, cold.run_stats().patterns_mined);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 1);  // still only the cold engine's
+  EXPECT_EQ(warm.mining_profile().total_ns, 0);  // zero mining work
   EXPECT_EQ(SerializePatternSet(warm.patterns(), warm.schema()), expected);
   // The hit shares the cold run's set — no copy, same object.
   EXPECT_EQ(warm.shared_patterns().get(), cold.shared_patterns().get());
@@ -163,8 +162,8 @@ TEST(PatternCacheTest, ConfigChangeMissesViaDigest) {
   second.set_pattern_cache(&cache);
   second.mining_config().global_support_threshold += 1;
   ASSERT_TRUE(second.MinePatterns().ok());
-  EXPECT_EQ(second.run_stats().cache_hits, 0);
-  EXPECT_EQ(second.run_stats().cache_misses, 1);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.stats().misses, 2);
 
   // Performance knobs (threads, deadline) keep the digest -> hit.
   Engine third = MakeEngine(table);
@@ -172,8 +171,8 @@ TEST(PatternCacheTest, ConfigChangeMissesViaDigest) {
   third.mining_config().num_threads = 4;
   third.mining_config().deadline_ms = 60000;
   ASSERT_TRUE(third.MinePatterns().ok());
-  EXPECT_EQ(third.run_stats().cache_hits, 1);
-  EXPECT_EQ(third.run_stats().mine_ns, 0);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(third.mining_profile().total_ns, 0);
 }
 
 TEST(PatternCacheTest, MutatedTableMissesViaFingerprint) {
@@ -183,7 +182,7 @@ TEST(PatternCacheTest, MutatedTableMissesViaFingerprint) {
   Engine first = MakeEngine(table);
   first.set_pattern_cache(&cache);
   ASSERT_TRUE(first.MinePatterns().ok());
-  EXPECT_EQ(first.run_stats().cache_misses, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
 
   // Mutate the relation in place (the engines share the TablePtr): the
   // fingerprint changes, so the cached patterns must not be served.
@@ -194,9 +193,9 @@ TEST(PatternCacheTest, MutatedTableMissesViaFingerprint) {
   Engine second = MakeEngine(table);
   second.set_pattern_cache(&cache);
   ASSERT_TRUE(second.MinePatterns().ok());
-  EXPECT_EQ(second.run_stats().cache_hits, 0);
-  EXPECT_EQ(second.run_stats().cache_misses, 1);
-  EXPECT_GT(second.run_stats().mine_ns, 0);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_GT(second.mining_profile().total_ns, 0);
   EXPECT_EQ(cache.stats().entries, 2);
 }
 
@@ -221,15 +220,14 @@ TEST(PatternCacheTest, TruncatedMiningIsNeverCached) {
   full.set_pattern_cache(&cache);
   ASSERT_TRUE(full.MinePatterns().ok());
   EXPECT_FALSE(full.run_stats().mine_truncated);
-  EXPECT_EQ(full.run_stats().cache_hits, 0);
-  EXPECT_GT(full.run_stats().patterns_mined, 0);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_GT(full.patterns().size(), 0u);
   EXPECT_EQ(cache.stats().entries, 1);
 }
 
 TEST(PatternCacheTest, LoadPatternsWarmsTheCache) {
   auto table = MakeDblp();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cape_cache_warm.arpb").string();
+  const std::string path = TestTempPath("cache_warm.arpb");
 
   PatternCache cache;
   Engine offline = MakeEngine(table);
@@ -245,8 +243,8 @@ TEST(PatternCacheTest, LoadPatternsWarmsTheCache) {
   ASSERT_TRUE(online.LoadPatterns(path).ok());
   EXPECT_EQ(restored.stats().entries, 1);
   ASSERT_TRUE(online.MinePatterns().ok());
-  EXPECT_EQ(online.run_stats().cache_hits, 1);
-  EXPECT_EQ(online.run_stats().mine_ns, 0);
+  EXPECT_EQ(restored.stats().hits, 1);
+  EXPECT_EQ(online.mining_profile().total_ns, 0);
   std::remove(path.c_str());
 }
 

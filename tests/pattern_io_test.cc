@@ -1,13 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "core/engine.h"
 #include "datagen/dblp.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
 #include "relational/table.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -141,8 +141,7 @@ TEST(PatternIoTest, EngineSaveLoadWorkflow) {
   auto table = GenerateDblp(options);
   ASSERT_TRUE(table.ok());
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cape_patterns_test.arp").string();
+  const std::string path = TestTempPath("patterns.arp");
 
   // Offline phase: mine and save.
   {

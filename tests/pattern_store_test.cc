@@ -8,13 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "core/engine.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
 #include "relational/table.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -184,9 +184,8 @@ TEST(PatternStoreTest, TrailingGarbageRejected) {
 TEST(PatternStoreTest, FileSniffingLoadsBothFormats) {
   MinedFixture fixture = Mine();
   const Schema& schema = *fixture.table->schema();
-  const auto dir = std::filesystem::temp_directory_path();
-  const std::string text_path = (dir / "cape_store_test.arp").string();
-  const std::string binary_path = (dir / "cape_store_test.arpb").string();
+  const std::string text_path = TestTempPath("store.arp");
+  const std::string binary_path = TestTempPath("store.arpb");
 
   ASSERT_TRUE(SavePatternSet(fixture.patterns, schema, text_path).ok());
   ASSERT_TRUE(SavePatternSetBinary(fixture.patterns, schema, binary_path, 42).ok());
@@ -210,8 +209,7 @@ TEST(PatternStoreTest, FileSniffingLoadsBothFormats) {
 
 TEST(PatternStoreTest, EngineBinarySaveLoadWorkflow) {
   MinedFixture fixture = Mine();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cape_store_engine.arpb").string();
+  const std::string path = TestTempPath("store_engine.arpb");
 
   Engine offline = std::move(Engine::FromTable(fixture.table)).ValueOrDie();
   offline.mining_config() = fixture.config;

@@ -15,6 +15,7 @@
 #include <cerrno>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -26,6 +27,9 @@
 #include "datagen/dblp.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "storage/heap_file.h"
+#include "storage/paged_table.h"
+#include "test_util.h"
 
 namespace cape::server {
 namespace {
@@ -219,7 +223,7 @@ TEST_F(ServerTest, PingStatsSelectAndErrorsOverTheHarness) {
 
   Response stats = harness.Call("STATS");
   EXPECT_EQ(stats.outcome, Outcome::kOk);
-  EXPECT_NE(stats.payload_json.find("\"serve_requests\""), std::string::npos);
+  EXPECT_NE(stats.payload_json.find("\"patterns_mined\""), std::string::npos);
   EXPECT_NE(stats.payload_json.find("\"scheduler\""), std::string::npos);
 
   Response select = harness.Call("SELECT author, venue FROM pub");
@@ -255,7 +259,6 @@ TEST_F(ServerTest, ExplainAnswersAreByteIdenticalAndRespectTopK) {
 }
 
 TEST_F(ServerTest, QueueFullRejectsWithOverloaded) {
-  const RunStats before = engine_->run_stats();
   ServerOptions options;
   options.num_workers = 1;
   options.scheduler.admission.max_in_system = 1;
@@ -279,9 +282,6 @@ TEST_F(ServerTest, QueueFullRejectsWithOverloaded) {
   EXPECT_EQ(stats.submitted, 2);
   EXPECT_EQ(stats.ok, 1);
   EXPECT_EQ(stats.overloaded, 1);
-  const RunStats after = engine_->run_stats();
-  EXPECT_EQ(after.serve_requests - before.serve_requests, 1);
-  EXPECT_EQ(after.serve_rejected - before.serve_rejected, 1);
 }
 
 TEST_F(ServerTest, TenantByteBudgetRejectsWithRetryAfter) {
@@ -307,7 +307,6 @@ TEST_F(ServerTest, TenantByteBudgetRejectsWithRetryAfter) {
 }
 
 TEST_F(ServerTest, ExpiredQueuedRequestsAreShed) {
-  const RunStats before = engine_->run_stats();
   ServerOptions options;
   options.num_workers = 1;
   ServerHarness harness(engine_, options);
@@ -327,8 +326,6 @@ TEST_F(ServerTest, ExpiredQueuedRequestsAreShed) {
   EXPECT_EQ(FindById(responses, 1).outcome, Outcome::kOk);
   EXPECT_EQ(FindById(responses, 2).outcome, Outcome::kShed);
   EXPECT_EQ(harness.scheduler().stats().shed, 1);
-  const RunStats after = engine_->run_stats();
-  EXPECT_EQ(after.serve_shed - before.serve_shed, 1);
 }
 
 TEST_F(ServerTest, DegradationTierCapsTopKUnderBacklog) {
@@ -386,6 +383,84 @@ TEST_F(ServerTest, ShutdownDrainsInFlightWorkThenRejects) {
   const RequestScheduler::Stats stats = harness.scheduler().stats();
   EXPECT_EQ(stats.submitted, stats.ok + stats.degraded + stats.truncated + stats.shed +
                                  stats.overloaded + stats.retry_after + stats.errors);
+}
+
+// ---------------------------------------------------------------------------
+// STATS reads each counter from the module that keeps it (DESIGN.md §8).
+
+/// `"name":value,` as the STATS payload renders a counter that has a
+/// successor in its object.
+std::string CounterJson(const std::string& name, int64_t value) {
+  return "\"" + name + "\":" + std::to_string(value) + ",";
+}
+
+TEST_F(ServerTest, StatsCountsPatternsThatWereNotMinedHere) {
+  // perfbench's serve workload hands its server a set with SetPatterns; an
+  // online server restores one with LoadPatterns.
+  Engine injected = std::move(Engine::FromTable(engine_->table())).ValueOrDie();
+  injected.SetPatterns(engine_->patterns());
+  const std::string path = TestTempPath("served.arpb");
+  ASSERT_TRUE(engine_->SavePatternsBinary(path).ok());
+  Engine loaded = std::move(Engine::FromTable(engine_->table())).ValueOrDie();
+  ASSERT_TRUE(loaded.LoadPatterns(path).ok());
+  std::remove(path.c_str());
+
+  for (const Engine* engine : {&injected, &loaded}) {
+    const auto served = static_cast<int64_t>(engine->patterns().size());
+    ASSERT_GT(served, 0);
+    ServerOptions options;
+    options.num_workers = 1;
+    ServerHarness harness(engine, options);
+    Response stats = harness.Call("STATS");
+    ASSERT_EQ(stats.outcome, Outcome::kOk) << stats.error;
+    EXPECT_NE(stats.payload_json.find(CounterJson("patterns_mined", served)),
+              std::string::npos)
+        << stats.payload_json;
+  }
+}
+
+TEST_F(ServerTest, StatsReadsPagerAndCacheCountersFromTheirOwners) {
+  DblpOptions data;
+  data.num_rows = 6000;  // three 2048-row pages
+  data.seed = 5;
+  auto table = GenerateDblp(data);
+  ASSERT_TRUE(table.ok());
+  const std::string path = TestTempPath("served.cape");
+  ASSERT_TRUE(WriteTableToHeapFile(**table, path, /*rows_per_page=*/2048).ok());
+  auto paged = OpenPagedTable(path, /*budget_bytes=*/1);  // one frame
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Engine engine = std::move(Engine::FromTable(*paged)).ValueOrDie();
+  engine.mining_config() = engine_->mining_config();
+  PatternCache cache;
+  engine.set_pattern_cache(&cache);
+  ASSERT_TRUE(engine.MinePatterns().ok());  // a miss: mined, then admitted
+  ASSERT_TRUE(engine.MinePatterns().ok());  // a hit
+
+  ServerOptions options;
+  options.num_workers = 2;
+  ServerHarness harness(&engine, options);
+  for (int id = 1; id <= 3; ++id) {
+    Response explained = harness.Call(
+        PlantedExplainLine("[id=" + std::to_string(id) + " deadline_ms=30000]"));
+    ASSERT_EQ(explained.outcome, Outcome::kOk) << explained.error;
+  }
+  Response stats = harness.Call("STATS");
+  ASSERT_EQ(stats.outcome, Outcome::kOk) << stats.error;
+
+  // Every request has finished, so the owners still hold what STATS read.
+  const PageSourceStats pages = engine.table()->page_source()->stats();
+  const PatternCache::Stats cached = cache.stats();
+  EXPECT_GT(pages.misses, 0);
+  EXPECT_GT(pages.evictions, 0);
+  EXPECT_EQ(cached.hits, 1);
+  EXPECT_EQ(cached.misses, 1);
+  const std::string expected =
+      CounterJson("cache_hits", cached.hits) + CounterJson("cache_misses", cached.misses) +
+      CounterJson("page_hits", pages.hits) + CounterJson("page_misses", pages.misses) +
+      CounterJson("page_evictions", pages.evictions) +
+      CounterJson("page_bytes_pinned", pages.bytes_pinned);
+  EXPECT_NE(stats.payload_json.find(expected), std::string::npos) << stats.payload_json;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -610,7 +685,7 @@ TEST_F(ServerTest, TcpServerAnswersOverARealSocket) {
   EXPECT_TRUE(has_id(pong, 9)) << pong;
   EXPECT_NE(pong.find("\"outcome\":\"ok\""), std::string::npos) << pong;
   EXPECT_TRUE(has_id(stats, 10)) << stats;
-  EXPECT_NE(stats.find("\"serve_requests\""), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"patterns_mined\""), std::string::npos) << stats;
 
   ASSERT_TRUE(SendAll(fd, PlantedExplainLine("[id=11 deadline_ms=30000]") + "\n").ok());
   auto explain = ReadLine(fd, &buffer);

@@ -36,12 +36,15 @@ types (DESIGN.md §12). Rules:
                       storage.page_read failpoint, and the page-cache budget
                       cannot be bypassed (DESIGN.md §15). Socket IO
                       (::read/::write/::close) and iostreams stay legal.
-  fixed-temp-path     No `TempDir() + "literal"` path. ctest runs every test
-                      case as its own process, in parallel, and all of them
-                      share ::testing::TempDir(), so a fixed file name there
-                      lets two cases clobber each other's files. Use
-                      TestTempPath(name) from tests/test_util.h, which names
-                      the path after the running test case.
+  fixed-temp-path     No `TempDir() + "literal"` path, and no
+                      std::filesystem::temp_directory_path() under tests/.
+                      ctest runs every test case as its own process, in
+                      parallel, and all of them share ::testing::TempDir(),
+                      so a fixed file name there lets two cases clobber each
+                      other's files; temp_directory_path() is /tmp itself,
+                      shared by every build tree (it ignores TEST_TMPDIR).
+                      Use TestTempPath(name) from tests/test_util.h, which
+                      names the path after the running test case.
 
 Suppression: append `// lint:allow(<rule>) <why>` to the offending line, or
 put `// lint:allow-next-line(<rule>) <why>` on the line above when the
@@ -96,6 +99,9 @@ RAW_FILE_IO_ALLOWED_PREFIX = "src/storage/"
 # Matched against the raw text (the literal is the point); a match counts
 # only when its `TempDir` token is code, not comment.
 FIXED_TEMP_PATH_RE = re.compile(r'\bTempDir\s*\(\s*\)\s*\+\s*(?:u8|[LuU])?R?"')
+# Matched against the stripped text, in tests/ only (benches run one at a
+# time, outside ctest).
+TEMP_DIRECTORY_PATH_RE = re.compile(r"\btemp_directory_path\s*\(")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -236,6 +242,13 @@ def lint_file(path, root):
                    "process ctest runs in parallel — use TestTempPath(name) "
                    "(tests/test_util.h)")
 
+    if rel.startswith("tests/"):
+        for m in TEMP_DIRECTORY_PATH_RE.finditer(stripped):
+            report(line_of_offset(stripped, m.start()), "fixed-temp-path",
+                   "temp_directory_path() ignores TEST_TMPDIR, so build trees "
+                   "running the same case share its files — use "
+                   "TestTempPath(name) (tests/test_util.h)")
+
     for idx, line in enumerate(original_lines, start=1):
         m = INCLUDE_RE.match(line)
         if not m:
@@ -325,9 +338,21 @@ SELF_TEST_FIXTURES = {
         "std::string P() {\n"
         '  return ::testing::TempDir() + "fixed.csv";\n'
         "}\n", "fixed-temp-path"),
+    "tests/bad_temp_directory.cc": (
+        "#include <filesystem>\n"
+        "std::string P() {\n"
+        '  return (std::filesystem::temp_directory_path() / "x.csv").string();\n'
+        "}\n", "fixed-temp-path"),
+    # Benches run one at a time, outside ctest: /tmp is theirs to use.
+    "bench/temp_directory_ok.cc": (
+        "#include <filesystem>\n"
+        "std::string P() {\n"
+        '  return (std::filesystem::temp_directory_path() / "x.csv").string();\n'
+        "}\n", None),
     # A computed suffix, or the literal in a comment, is not a fixed path.
     "tests/temp_path_ok.cc": (
         '// ::testing::TempDir() + "fixed.csv" in a comment must not fire\n'
+        "// nor may std::filesystem::temp_directory_path() in a comment\n"
         "#include <gtest/gtest.h>\n"
         "std::string P(const std::string& name) {\n"
         "  std::string path = ::testing::TempDir();\n"
