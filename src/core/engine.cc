@@ -9,7 +9,8 @@ namespace cape {
 
 Engine::Engine(TablePtr table)
     : table_(std::move(table)),
-      distance_model_(DistanceModel::MakeDefault(*table_)) {}
+      distance_model_(DistanceModel::MakeDefault(*table_)),
+      agg_memo_(ExplainSession::MakeMemo(table_)) {}
 
 Result<Engine> Engine::FromTable(TablePtr table) {
   if (table == nullptr) return Status::InvalidArgument("table must not be null");
@@ -71,6 +72,10 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
   // the pre-append key the cache entry currently lives under.
   if (use_cache) old_fingerprint = table_->Fingerprint();
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->AppendRow(row));
+  // The memo's γ tables miss the new rows, whatever maintenance returns
+  // below: later sessions get a fresh memo, and the sessions holding the
+  // old one reject every question.
+  if (!rows.empty()) agg_memo_ = ExplainSession::MakeMemo(table_);
   run_stats_.maint_appends += 1;
   run_stats_.maint_rows_appended += static_cast<int64_t>(rows.size());
 
@@ -183,7 +188,7 @@ Result<ExplainSession> Engine::MakeExplainSession() const {
   if (patterns_ == nullptr) {
     return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
   }
-  return ExplainSession(patterns_, distance_model_, explain_config_);
+  return ExplainSession(patterns_, distance_model_, explain_config_, agg_memo_);
 }
 
 std::string Engine::RenderPatterns(size_t max_patterns) const {

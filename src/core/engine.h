@@ -64,11 +64,13 @@ struct RunStats {
 /// phase is done — configuration set, patterns mined or loaded — the const
 /// surface is re-entrant and writes no engine state. Any number of threads
 /// may call Explain(), ExplainBaseline(), MakeQuestion(),
-/// MakeExplainSession(), run_stats(), and the accessors concurrently. The
-/// non-const surface (MinePatterns, AppendAndRemine, LoadPatterns, set_* and
-/// the mutable config accessors) is NOT safe to run concurrently with the
-/// const surface — servers mine before accepting traffic and run APPEND
-/// under a write gate that excludes every reader (DESIGN.md §13).
+/// MakeExplainSession(), run_stats(), and the accessors concurrently, and
+/// the sessions may answer concurrently: they share the engine's γ memo,
+/// which fills itself under its own locks. The non-const surface
+/// (MinePatterns, AppendAndRemine, LoadPatterns, set_* and the mutable
+/// config accessors) is NOT safe to run concurrently with the const surface
+/// or with a session's Explain — servers mine before accepting traffic and
+/// run APPEND under a write gate that excludes every reader (DESIGN.md §13).
 class Engine {
  public:
   /// Wraps an in-memory relation. The table must validate.
@@ -170,9 +172,11 @@ class Engine {
   Result<ExplainResult> Explain(const UserQuestion& question, bool optimized = true) const;
 
   /// Opens a batch serving session over the current pattern set: answers
-  /// many questions while memoizing question-independent work (aggregated
-  /// data tables, refinement adjacency). Results are byte-identical to
-  /// calling Explain() per question. Requires patterns.
+  /// many questions while reusing question-independent work (the refinement
+  /// adjacency, and the engine's γ memo, which every session of this engine
+  /// shares). Results are byte-identical to calling Explain() per question.
+  /// The session answers questions over the table at its current row count
+  /// only; after AppendAndRemine, open a new one. Requires patterns.
   Result<ExplainSession> MakeExplainSession() const;
 
   /// The Appendix A.2 pattern-free baseline, for comparison.
@@ -201,6 +205,9 @@ class Engine {
   /// Lazily built by AppendAndRemine; reset when the mining config digest
   /// diverges or maintenance degrades to a full re-mine.
   std::unique_ptr<PatternMaintainer> maintainer_;
+  /// The γ memo of table_ at its current row count, handed to every
+  /// session; AppendAndRemine replaces it once rows are appended.
+  std::shared_ptr<explain_internal::AggDataCache> agg_memo_;
   RunStats run_stats_;
 };
 

@@ -6,10 +6,17 @@
 namespace cape {
 
 ExplainSession::ExplainSession(std::shared_ptr<const PatternSet> patterns,
-                               DistanceModel distance, ExplainConfig config)
+                               DistanceModel distance, ExplainConfig config,
+                               std::shared_ptr<explain_internal::AggDataCache> memo)
     : patterns_(std::move(patterns)), distance_(std::move(distance)),
       config_(std::move(config)),
-      state_(std::make_unique<explain_internal::SessionState>()) {}
+      state_(std::make_unique<explain_internal::SessionState>()) {
+  state_->memo = std::move(memo);
+}
+
+std::shared_ptr<explain_internal::AggDataCache> ExplainSession::MakeMemo(TablePtr relation) {
+  return std::make_shared<explain_internal::AggDataCache>(std::move(relation));
+}
 
 // Out of line: SessionState is incomplete in the header (pimpl).
 ExplainSession::~ExplainSession() = default;
@@ -19,29 +26,27 @@ ExplainSession& ExplainSession::operator=(ExplainSession&&) noexcept = default;
 int64_t ExplainSession::questions_answered() const { return state_->questions_answered; }
 
 size_t ExplainSession::num_cached_agg_tables() const {
-  return state_->agg_cache == nullptr ? 0 : state_->agg_cache->num_entries();
+  return state_->memo == nullptr ? 0 : state_->memo->num_entries();
 }
 
 Result<ExplainResult> ExplainSession::Explain(const UserQuestion& question, bool optimized) {
-  if (patterns_ == nullptr) {
-    return Status::InvalidArgument("ExplainSession has no pattern set");
+  if (patterns_ == nullptr || state_->memo == nullptr) {
+    return Status::InvalidArgument("ExplainSession has no pattern set or no γ memo");
   }
-  if (state_->relation == nullptr) {
-    state_->relation = question.relation;
-    state_->relation_rows = question.relation->num_rows();
-  } else if (state_->relation != question.relation) {
-    // The memoized γ tables are computed over the first question's
-    // relation; serving a different table from them would be silently
-    // wrong, so reject instead.
+  const explain_internal::AggDataCache& memo = *state_->memo;
+  if (question.relation != memo.relation()) {
+    // The memo's γ tables are computed over its relation; serving a
+    // different table from them would be silently wrong, so reject instead.
     return Status::InvalidArgument(
-        "ExplainSession answers questions over one relation; open a new session "
-        "for a different table");
-  } else if (state_->relation->num_rows() != state_->relation_rows) {
+        "ExplainSession answers questions over its engine's relation; open a "
+        "session of the engine that owns this table");
+  }
+  if (question.relation->num_rows() != memo.relation_rows()) {
     // Same table, grown in place (Engine::AppendAndRemine) since the memo
-    // was built: its γ tables miss the new rows while NORM would see them.
+    // was made: its γ tables miss the new rows.
     return Status::InvalidArgument(
-        "ExplainSession's relation changed size since its first question; open a "
-        "new session after an append");
+        "ExplainSession's relation changed size since the session was opened; "
+        "open a new session after an append");
   }
   CAPE_ASSIGN_OR_RETURN(ExplainResult result,
                         explain_internal::RunExplainWithState(question, *patterns_, distance_,

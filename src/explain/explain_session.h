@@ -12,37 +12,44 @@
 #include "pattern/pattern_set.h"
 
 namespace cape::explain_internal {
-// Defined in explainer_internal.h; held behind a unique_ptr so this public
-// header never includes an internal one (tools/lint.py internal-include rule).
+// Defined in explainer_internal.h; held by pointer so this public header
+// never includes an internal one (tools/lint.py internal-include rule).
+class AggDataCache;
 struct SessionState;
 }  // namespace cape::explain_internal
 
 namespace cape {
 
 /// Answers a batch of user questions against one mined PatternSet,
-/// memoizing question-independent work: the whole γ_{attrs,agg} aggregate
-/// tables, one per refinement attribute set, and the refinement adjacency
-/// (which patterns refine which). This is the online half of CAPE's
-/// offline/online split at serving granularity — mine once, open a session,
-/// answer many questions. A one-shot Engine::Explain() keeps neither: it
-/// computes each (P, P') pair's candidates with t'[F] = t[F] pushed below
-/// γ, which is cheaper for one question and dearer than a warm memo for
-/// many.
+/// reusing question-independent work: the engine's γ memo — whole
+/// γ_{attrs,agg} tables, one per attribute set, which every session of one
+/// engine shares — and the refinement adjacency (which patterns refine
+/// which). This is the online half of CAPE's offline/online split at
+/// serving granularity — mine once, open sessions, answer many questions.
+/// A warm session reads each pair's candidates and each NORM from memoized
+/// tables and scans no relation rows. A one-shot Engine::Explain() keeps
+/// neither: it pushes t'[F] = t[F] below γ per (P, P') pair and scans R for
+/// each NORM, which is cheaper for one question and dearer than a warm memo
+/// for many.
 ///
 /// Every answer is byte-identical to calling Engine::Explain() on the same
-/// question: the memoized γ tables hold a superset of the pushed-down
-/// groups, with the same aggregates in the same relative order, and the
-/// memo never changes the deterministic candidate order (DESIGN.md §11).
+/// question: a memoized γ table holds a superset of the pushed-down groups,
+/// with the same aggregates in the same relative order, its t[F ∪ V] group
+/// sums exactly the rows NORM's scan selects, and the memo never changes
+/// the deterministic candidate order (DESIGN.md §11).
 ///
-/// All questions in one session must target the relation of the first
-/// question, at the row count it had then (the γ tables are per-relation;
-/// after Engine::AppendAndRemine grows the table, open a new session). Not
+/// Every question must target the engine's relation at the row count it had
+/// when the session was opened (the memo covers exactly those rows; after
+/// Engine::AppendAndRemine grows the table, open a new session). Not
 /// intended for concurrent Explain() calls on the same session; open one
-/// session per serving thread — they can all share one cached PatternSet.
+/// session per serving thread — they share the engine's pattern set and
+/// memo.
 class ExplainSession {
  public:
+  /// Engine::MakeExplainSession() is the usual way to open one; `memo`
+  /// comes from MakeMemo.
   ExplainSession(std::shared_ptr<const PatternSet> patterns, DistanceModel distance,
-                 ExplainConfig config);
+                 ExplainConfig config, std::shared_ptr<explain_internal::AggDataCache> memo);
   ~ExplainSession();
 
   ExplainSession(ExplainSession&&) noexcept;
@@ -50,10 +57,13 @@ class ExplainSession {
   ExplainSession(const ExplainSession&) = delete;
   ExplainSession& operator=(const ExplainSession&) = delete;
 
+  /// An empty γ memo over `relation` at its current row count.
+  static std::shared_ptr<explain_internal::AggDataCache> MakeMemo(TablePtr relation);
+
   /// Answers one question. `optimized` selects EXPL-GEN-OPT over
   /// EXPL-GEN-NAIVE, exactly as in Engine::Explain. InvalidArgument when the
-  /// question targets another relation than the first question did, or the
-  /// same relation after its row count changed.
+  /// question targets another relation than the memo's, or the memo's
+  /// relation after its row count changed.
   Result<ExplainResult> Explain(const UserQuestion& question, bool optimized = true);
 
   /// Answers questions in order; fails fast on the first error.
@@ -66,8 +76,9 @@ class ExplainSession {
 
   /// Questions answered so far.
   int64_t questions_answered() const;
-  /// Distinct γ_{attrs,agg} tables memoized so far (grows sub-linearly in
-  /// questions — that is the point of the session).
+  /// Distinct γ_{attrs,agg} tables in the memo so far, counting those that
+  /// other sessions of the same engine added (it grows sub-linearly in
+  /// questions — that is the point of the memo).
   size_t num_cached_agg_tables() const;
 
  private:

@@ -152,17 +152,42 @@ std::vector<std::pair<int, Value>> QuestionConditions(const UserQuestion& q, Att
   return conditions;
 }
 
-/// NORM of Definition 10: the question's own aggregate at the relevant
-/// pattern's granularity, π_{agg(A)}(σ_{F=t[F] ∧ V=t[V]}(γ_{F∪V,agg(A)}(R))).
-Result<double> ComputeNorm(const UserQuestion& q, const Pattern& p, StopToken* stop) {
-  CAPE_FAILPOINT("explain.norm");
+/// NORM of Definition 10 by a fused σ→γ scan of the whole relation:
+/// π_{agg(A)}(σ_{F=t[F] ∧ V=t[V]}(γ_{F∪V,agg(A)}(R))) as one block scan,
+/// with no filtered table.
+Result<double> ScanNorm(const UserQuestion& q, const Pattern& p, StopToken* stop) {
   const AggregateSpec spec{p.agg, p.agg_attr, "agg"};
-  // Fused σ→γ over the whole relation: one block scan, no filtered table.
   CAPE_ASSIGN_OR_RETURN(
       TablePtr aggregated,
       FilterGroupAggregate(*q.relation, QuestionConditions(q, p.GroupAttrs()),
                            std::vector<int>{}, {spec}, stop));
   const Value v = aggregated->GetValue(0, 0);
+  return v.is_null() ? 0.0 : v.AsDouble();
+}
+
+/// NORM of Definition 10 for relevant pattern `p`: the question's own
+/// aggregate at p's granularity. A one-shot call (no `memo`) scans R. A
+/// session reads the t[F ∪ V] group of the memo's γ_{F∪V,agg(A)}(R),
+/// building that table on first use. That group sums exactly the rows σ
+/// selects, in ascending row order, through the same aggregate state, so
+/// both give the same bits, and no group means an empty selection, whose
+/// NORM is 0. σ on the γ table selects more than one group only around NaN
+/// cells: NaN compares equal to every value, yet γ keys it as a group of
+/// its own. The scan then decides.
+Result<double> ComputeNorm(const UserQuestion& q, const Pattern& p, AggDataCache* memo,
+                           StopToken* stop) {
+  CAPE_FAILPOINT("explain.norm");
+  if (memo == nullptr) return ScanNorm(q, p, stop);
+  const AttrSet attrs = p.GroupAttrs();
+  CAPE_ASSIGN_OR_RETURN(TablePtr data, memo->Get(attrs, p.agg, p.agg_attr, stop));
+  std::vector<std::pair<int, Value>> conditions = QuestionConditions(q, attrs);
+  // R's columns -> γ's: the γ table's key columns are F ∪ V in R's order.
+  for (size_t i = 0; i < conditions.size(); ++i) conditions[i].first = static_cast<int>(i);
+  std::vector<int64_t> groups;
+  CAPE_RETURN_IF_ERROR(FilterEqualsSel(*data, conditions, stop, &groups));
+  if (groups.empty()) return 0.0;
+  if (groups.size() > 1) return ScanNorm(q, p, stop);
+  const Value v = data->GetValue(groups[0], static_cast<int>(conditions.size()));
   return v.is_null() ? 0.0 : v.AsDouble();
 }
 
@@ -202,8 +227,8 @@ struct PairTask {
 /// score is always scanned, which is what makes the pruned set — and hence
 /// the final top-k — independent of thread count and timing.
 ///
-/// The candidates come from the whole γ_{F'∪V,agg(A)}(R) in `cache`, masked
-/// to t'[F] = t[F]; or, when `cache` is null, from the fused
+/// The candidates come from the whole γ_{F'∪V,agg(A)}(R) in `memo`, masked
+/// to t'[F] = t[F]; or, when `memo` is null, from the fused
 /// FilterGroupAggregate(R, F = t[F], F' ∪ V, agg(A)), which pushes that
 /// selection below γ. The pushed-down table holds exactly the F-matching
 /// groups of the whole γ, in the same relative order and summed over the
@@ -213,7 +238,7 @@ struct PairTask {
 Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
                     const GlobalPattern& refinement, double norm,
                     const DistanceModel& distance_model, const ExplainConfig& config,
-                    AggDataCache* cache, bool prune_locals, int64_t pair_rank,
+                    AggDataCache* memo, bool prune_locals, int64_t pair_rank,
                     const SharedScoreFloor* floor, CandidatePool* pool,
                     ExplainProfile* profile, StopToken* stop) {
   CAPE_FAILPOINT("explain.refine");
@@ -226,8 +251,8 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   // when the selection is pushed below γ, since every group then passes.
   std::vector<std::pair<int, Value>> f_conditions;
   TablePtr data;
-  if (cache != nullptr) {
-    CAPE_ASSIGN_OR_RETURN(data, cache->Get(attrs, pp.agg, pp.agg_attr, stop));
+  if (memo != nullptr) {
+    CAPE_ASSIGN_OR_RETURN(data, memo->Get(attrs, pp.agg, pp.agg_attr, stop));
     f_conditions = QuestionConditions(q, p.partition_attrs);
     for (auto& condition : f_conditions) {  // R's column -> γ's; F ⊆ F' ∪ V
       const int col = condition.first;
@@ -361,16 +386,10 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
   ExplainResult result;
   Stopwatch total;
   StopToken stop = config.MakeStopToken();
-  // Where each pair's candidates come from (EvaluatePair): a session's
-  // memo of whole γ tables, or, for a one-shot call, no cache at all, each
-  // pair pushing t'[F] = t[F] below γ.
-  AggDataCache* cache = nullptr;
-  if (state != nullptr) {
-    if (state->agg_cache == nullptr) {
-      state->agg_cache = std::make_unique<AggDataCache>(q.relation);
-    }
-    cache = state->agg_cache.get();
-  }
+  // Where each pair's candidates and each NORM come from (EvaluatePair,
+  // ComputeNorm): a session's shared memo of whole γ tables, or, for a
+  // one-shot call, no memo at all, each query pushing its selection below γ.
+  AggDataCache* memo = state == nullptr ? nullptr : state->memo.get();
   const bool prune_pairs = optimized && config.prune_pairs;
   const bool prune_locals = optimized && config.prune_locals;
 
@@ -396,7 +415,7 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
   const auto relevant = FindRelevantPatterns(q, patterns);
   result.profile.num_relevant_patterns = static_cast<int64_t>(relevant.size());
   for (const GlobalPattern* p : relevant) {
-    auto norm_result = ComputeNorm(q, p->pattern, &stop);
+    auto norm_result = ComputeNorm(q, p->pattern, memo, &stop);
     if (!norm_result.ok()) {
       if (norm_result.status().IsStop()) {
         MarkPartial(&result, stop.reason(), "norm");
@@ -465,7 +484,7 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
               continue;
             }
             CAPE_RETURN_IF_ERROR(EvaluatePair(
-                q, *pair.relevant, *pair.refinement, pair.norm, distance, config, cache,
+                q, *pair.relevant, *pair.refinement, pair.norm, distance, config, memo,
                 prune_locals, i, &floor, &pools[static_cast<size_t>(worker)], &profile,
                 worker_stop));
           }

@@ -17,19 +17,31 @@
 
 namespace cape::explain_internal {
 
-/// Caches whole γ_{attrs, agg(A)}(R) tables, one per refinement attribute
-/// set F' ∪ V, shared by every (P, P') pair whose refinement has that set.
-/// Only an ExplainSession keeps one, across its batch: the tables depend
-/// only on the relation, never on the question. A one-shot call keeps
-/// none; it pushes t'[F] = t[F] below γ per pair instead (DESIGN.md §9).
+/// The γ memo: whole γ_{attrs, agg(A)}(R) tables, one per attribute set,
+/// over the relation as it stood when the memo was made. An Engine keeps
+/// one and hands it to every ExplainSession it opens, so all of them share
+/// each table. A session reads two things from it: the candidates of every
+/// (P, P') pair, from the table over F' ∪ V, and every NORM, from the
+/// t[F ∪ V] group of the table over P's own F ∪ V (P refines itself, so its
+/// pairs need that table anyway). A one-shot call keeps no memo; it pushes
+/// the question's selections below γ instead (DESIGN.md §9). The tables
+/// depend only on the relation, so Engine::AppendAndRemine replaces the
+/// memo once rows are appended, and a session holding the old one rejects
+/// every question.
 ///
 /// Thread-safe: concurrent workers requesting the same key serialize on
 /// that entry (one computes, the rest reuse), while distinct keys compute
 /// in parallel. Shares ownership of the relation, which therefore outlives
-/// the cache.
+/// the memo.
 class AggDataCache {
  public:
-  explicit AggDataCache(TablePtr relation) : relation_(std::move(relation)) {}
+  explicit AggDataCache(TablePtr relation)
+      : relation_(std::move(relation)), relation_rows_(relation_->num_rows()) {}
+
+  /// The relation, and its row count when the memo was made: the only
+  /// questions the tables answer are over that table at that size.
+  const TablePtr& relation() const { return relation_; }
+  int64_t relation_rows() const { return relation_rows_; }
 
   Result<TablePtr> Get(AttrSet attrs, AggFunc agg, int agg_attr, StopToken* stop)
       CAPE_EXCLUDES(mu_) {
@@ -72,25 +84,21 @@ class AggDataCache {
   };
 
   const TablePtr relation_;
+  const int64_t relation_rows_;
   mutable Mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Entry>> cache_ CAPE_GUARDED_BY(mu_);
 };
 
-/// Question-independent work memoized across one ExplainSession's batch:
-/// the γ tables above and the refinement adjacency (for each pattern index,
-/// the indices — in enumeration order — of the patterns refining it, which
-/// the one-shot path rediscovers with an O(N_P) scan per relevant pattern
-/// on every question). Reusing the adjacency preserves the deterministic
-/// pair-list order, so session answers are byte-identical to one-shot
-/// Explain() calls.
+/// Question-independent work an ExplainSession reuses across its batch:
+/// the engine's γ memo above, and the refinement adjacency (for each
+/// pattern index, the indices — in enumeration order — of the patterns
+/// refining it, which the one-shot path rediscovers with an O(N_P) scan per
+/// relevant pattern on every question). Reusing the adjacency preserves the
+/// deterministic pair-list order, so session answers are byte-identical to
+/// one-shot Explain() calls.
 struct SessionState {
-  /// Relation the session is bound to (the first question's) and its row
-  /// count at that point. Later questions must target the same table at
-  /// the same size: the memoized γ tables cover exactly those rows, and
-  /// Engine::AppendAndRemine grows the table in place.
-  TablePtr relation;
-  int64_t relation_rows = 0;
-  std::unique_ptr<AggDataCache> agg_cache;
+  /// The engine's memo, shared with its other sessions.
+  std::shared_ptr<AggDataCache> memo;
   bool adjacency_built = false;
   std::vector<std::vector<int64_t>> refinements;
 

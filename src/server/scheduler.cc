@@ -203,9 +203,10 @@ void RequestScheduler::RunOne() {
     Response response = ExecuteAppend(pending);
     if (engine_->table()->num_rows() != rows_before) {
       // Rows went in, even when maintenance was cut short or its fallback
-      // failed. Pooled sessions hold the old pattern set and γ memos over
-      // fewer rows, and would reject every question from now on. Drop them
-      // so later requests explain against the grown table. (No session is
+      // failed. The engine replaced its γ memo; pooled sessions hold the old
+      // pattern set and the old memo over fewer rows, and would reject every
+      // question from now on. Drop them so later requests open sessions on
+      // the new memo and explain against the grown table. (No session is
       // outstanding: sessions are only held under the read gate, which the
       // write gate excludes.)
       MutexLock lock(mu_);

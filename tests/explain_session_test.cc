@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/dblp.h"
+#include "relational/csv.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -146,7 +149,21 @@ TEST(ExplainSessionTest, MemoizesAggTablesAcrossQuestions) {
   for (size_t i = 1; i < questions.size(); ++i) {
     ASSERT_TRUE(session->Explain(questions[i]).ok());
   }
-  EXPECT_LT(session->num_cached_agg_tables(), after_first * questions.size());
+  const size_t after_all = session->num_cached_agg_tables();
+  EXPECT_LT(after_all, after_first * questions.size());
+
+  // The memo is the engine's: a second session starts with every table the
+  // first one built, and its first question builds none.
+  auto second = engine.MakeExplainSession();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->num_cached_agg_tables(), after_all);
+  auto served = second->Explain(questions[0]);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(second->num_cached_agg_tables(), after_all);
+  EXPECT_EQ(session->num_cached_agg_tables(), after_all);
+  auto one_shot = engine.Explain(questions[0]);
+  ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+  ExpectSameResult(*served, *one_shot, "second session");
 }
 
 TEST(ExplainSessionTest, RejectsQuestionsOverADifferentRelation) {
@@ -176,16 +193,22 @@ TEST(ExplainSessionTest, RejectsQuestionsAfterTheRelationGrows) {
 
   auto session = engine.MakeExplainSession();
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->Explain(questions[0]).ok());  // builds the γ memo
+  ASSERT_TRUE(session->Explain(questions[0]).ok());  // builds γ tables
+  auto idle = engine.MakeExplainSession();  // never asked before the append
+  ASSERT_TRUE(idle.ok());
 
   // AppendAndRemine grows the same Table in place: the memoized γ tables
-  // miss the new rows, so the session must refuse rather than mix them
-  // with NORM values computed over the grown relation.
+  // miss the new rows, so both sessions must refuse rather than answer
+  // from them. The idle one holds the same memo, so it refuses too.
   ASSERT_TRUE(engine.AppendAndRemine({engine.table()->GetRow(0)}).ok());
   auto served = session->Explain(questions[0]);
   EXPECT_FALSE(served.ok());
   EXPECT_TRUE(served.status().IsInvalidArgument()) << served.status().ToString();
   EXPECT_EQ(session->questions_answered(), 1);
+  auto idle_served = idle->Explain(questions[0]);
+  EXPECT_FALSE(idle_served.ok());
+  EXPECT_TRUE(idle_served.status().IsInvalidArgument()) << idle_served.status().ToString();
+  EXPECT_EQ(idle->questions_answered(), 0);
 
   // A session opened after the append answers as a one-shot call does.
   auto fresh = engine.MakeExplainSession();
@@ -195,6 +218,40 @@ TEST(ExplainSessionTest, RejectsQuestionsAfterTheRelationGrows) {
   ASSERT_TRUE(reanswered.ok()) << reanswered.status().ToString();
   ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
   ExpectSameResult(*reanswered, *one_shot, "after append");
+}
+
+TEST(ExplainSessionTest, SessionAfterCancelledAppendAnswersOverTheGrownTable) {
+  Engine engine = MakeEngine();
+  ASSERT_TRUE(engine.MinePatterns().ok());
+  const std::vector<UserQuestion> questions = MakeQuestions(engine);
+  auto before = engine.MakeExplainSession();
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->Explain(questions[0]).ok());  // warms the old memo
+
+  // A cancelled append keeps its rows and returns the stop; the pattern set
+  // stays stale, but the memo must already cover the grown table.
+  const int64_t rows = engine.table()->num_rows();
+  CancellationSource source;
+  source.RequestCancel();
+  engine.mining_config().cancel_token = source.token();
+  const Status appended =
+      engine.AppendAndRemine({engine.table()->GetRow(0), engine.table()->GetRow(1)});
+  ASSERT_TRUE(appended.IsStop()) << appended.ToString();
+  ASSERT_EQ(engine.table()->num_rows(), rows + 2);
+  engine.mining_config().cancel_token = CancellationToken();
+
+  EXPECT_TRUE(before->Explain(questions[0]).status().IsInvalidArgument());
+  auto after = engine.MakeExplainSession();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->num_cached_agg_tables(), 0u);  // a new memo, not the old one
+  for (size_t i = 0; i < questions.size(); ++i) {
+    auto served = after->Explain(questions[i]);
+    auto one_shot = engine.Explain(questions[i]);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+    ExpectSameResult(*served, *one_shot, "after a cancelled append, question " +
+                                             std::to_string(i));
+  }
 }
 
 TEST(ExplainSessionTest, CancelledBatchLeavesSessionReusable) {
@@ -269,6 +326,82 @@ TEST(ExplainSessionTest, CancelledBatchLeavesSessionReusable) {
     ExpectSameResult(*reanswered, reference[i],
                      "re-answered question " + std::to_string(i));
   }
+}
+
+TEST(ExplainSessionTest, NanAndSignedZeroGroupValuesMatchOneShot) {
+  // x holds NaN, 0.0 and -0.0 cells. Value::Compare finds NaN equal to
+  // every value and -0.0 equal to 0.0; γ keys NaN as a group of its own and
+  // folds -0.0 into 0.0. So σ_{x=1.0}(R) takes the x = NaN rows too, and a
+  // session's NORM lookup in the memo finds two γ groups where the one-shot
+  // scan sums one selection.
+  const char* const gs[] = {"a", "b", "c"};
+  const char* const xs[] = {"1.0", "2.0", "3.0", "0.0", "-0.0", "nan"};
+  std::string csv = "g,x,y\n";
+  for (int g = 0; g < 3; ++g) {
+    for (int x = 0; x < 6; ++x) {
+      for (int y = 1; y <= 4; ++y) {
+        const int copies = 1 + (g * 7 + x * 5 + y * 3) % 4;
+        for (int k = 0; k < copies; ++k) {
+          csv += std::string(gs[g]) + "," + xs[x] + "," + std::to_string(y) + "\n";
+        }
+      }
+    }
+  }
+  auto table = ReadCsvString(csv);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_EQ((*table)->column(1).type(), DataType::kDouble);
+  auto engine = Engine::FromTable(*table);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  MiningConfig& mining = engine->mining_config();
+  mining.max_pattern_size = 3;
+  mining.local_gof_threshold = 0.0;
+  mining.local_support_threshold = 1;
+  mining.global_confidence_threshold = 0.0;
+  mining.global_support_threshold = 1;
+  mining.agg_functions = {AggFunc::kCount};
+  mining.model_types = {ModelType::kConst};
+  ASSERT_TRUE(engine->MinePatterns().ok());
+  const int x_attr = 1;
+  int64_t over_x = 0;
+  for (const GlobalPattern& gp : engine->patterns().patterns()) {
+    over_x += gp.pattern.GroupAttrs().Contains(x_attr) ? 1 : 0;
+  }
+  ASSERT_GT(over_x, 0) << "no pattern groups on x; the NORM lookups are not exercised";
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<UserQuestion> questions;
+  for (const char* g : {"a", "b"}) {
+    for (const double x : {1.0, 0.0, -0.0, nan}) {
+      for (const int64_t y : {1, 3}) {
+        for (const Direction dir : {Direction::kLow, Direction::kHigh}) {
+          auto q = engine->MakeQuestion({"g", "x", "y"},
+                                        {Value::String(g), Value::Double(x), Value::Int64(y)},
+                                        AggFunc::kCount, "*", dir);
+          ASSERT_TRUE(q.ok()) << q.status().ToString();
+          questions.push_back(*q);
+        }
+      }
+    }
+  }
+
+  int64_t answered = 0;
+  for (const bool optimized : {false, true}) {
+    auto session = engine->MakeExplainSession();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (size_t i = 0; i < questions.size(); ++i) {
+      auto one_shot = engine->Explain(questions[i], optimized);
+      auto served = session->Explain(questions[i], optimized);
+      ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      // Exact hex floats: == finds NaN unequal to itself and -0.0 equal
+      // to 0.0, in scores and in tuple cells alike.
+      EXPECT_EQ(AnswerBytes(*served, engine->schema()),
+                AnswerBytes(*one_shot, engine->schema()))
+          << questions[i].ToString();
+      answered += one_shot->explanations.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(answered, 0) << "no question had an explanation; the check is vacuous";
 }
 
 TEST(ExplainSessionTest, RequiresMinedPatterns) {

@@ -721,37 +721,6 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalGroupByVsReferenceTest,
 // filter applies).
 // ---------------------------------------------------------------------------
 
-/// Every field of an answer, doubles as exact hex floats, so two answers
-/// render equal only when they are byte-identical.
-std::string AnswerBytes(const ExplainResult& result, const Schema& schema) {
-  std::string out;
-  char buf[48];
-  auto append_double = [&](double d) {
-    std::snprintf(buf, sizeof(buf), " %a", d);
-    out += buf;
-  };
-  for (const Explanation& e : result.explanations) {
-    out += e.relevant_pattern.ToString(schema) + " / " +
-           e.refinement_pattern.ToString(schema) + " /";
-    for (const Value& v : e.tuple_values) {
-      if (v.is_null()) {
-        out += " NULL";
-      } else if (v.type() == DataType::kString) {
-        out += " '" + v.string_value() + "'";
-      } else if (v.type() == DataType::kInt64) {
-        out += " i" + std::to_string(v.int64_value());
-      } else {
-        append_double(v.double_value());
-      }
-    }
-    for (double d : {e.agg_value, e.predicted, e.deviation, e.distance, e.norm, e.score}) {
-      append_double(d);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 /// A question's group-by columns (MakeRandomTable indices) and aggregate.
 struct QuestionShape {
   std::vector<int> group_by;

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
 #include <string>
+
+#include "explain/explainer.h"
 
 namespace cape {
 
@@ -32,6 +35,37 @@ inline std::string TestTempPath(const std::string& name) {
   path += "_";
   path += name;
   return path;
+}
+
+/// Every field of an answer, doubles as exact hex floats, so two answers
+/// render equal only when they are byte-identical.
+inline std::string AnswerBytes(const ExplainResult& result, const Schema& schema) {
+  std::string out;
+  char buf[48];
+  auto append_double = [&](double d) {
+    std::snprintf(buf, sizeof(buf), " %a", d);
+    out += buf;
+  };
+  for (const Explanation& e : result.explanations) {
+    out += e.relevant_pattern.ToString(schema) + " / " +
+           e.refinement_pattern.ToString(schema) + " /";
+    for (const Value& v : e.tuple_values) {
+      if (v.is_null()) {
+        out += " NULL";
+      } else if (v.type() == DataType::kString) {
+        out += " '" + v.string_value() + "'";
+      } else if (v.type() == DataType::kInt64) {
+        out += " i" + std::to_string(v.int64_value());
+      } else {
+        append_double(v.double_value());
+      }
+    }
+    for (double d : {e.agg_value, e.predicted, e.deviation, e.distance, e.norm, e.score}) {
+      append_double(d);
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 }  // namespace cape
