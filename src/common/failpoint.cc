@@ -15,8 +15,8 @@ namespace cape::failpoint {
 namespace {
 
 /// Every fault-injection site compiled into the library. Keep in sync with
-/// the CAPE_FAILPOINT()/CAPE_FAILPOINT_FIRES() lines; failpoint_test
-/// iterates this list and forces a fault at each site in turn.
+/// the CAPE_FAILPOINT() lines and the one direct Trigger() call;
+/// failpoint_test iterates this list and forces a fault at each site in turn.
 constexpr const char* kSites[] = {
     "csv.open",         // ReadCsvFile: file open / slurp
     "csv.read_row",     // ReadCsvString: per-record parse loop
@@ -28,10 +28,6 @@ constexpr const char* kSites[] = {
     "sql.execute",      // ExecuteSelect entry
     "pattern_io.save",  // SavePatternSet file write
     "pattern_io.load",  // LoadPatternSet file read
-    "engine.cache_admit",         // Engine::MinePatterns: serving-cache insert (degrade)
-    "pattern_cache.save_entry",   // PatternCache::SaveToDirectory per-entry write
-    "pattern_cache.load_entry",   // PatternCache::LoadFromDirectory per-entry read (degrade)
-    "pattern_cache.lookup_race",  // PatternCache::Lookup: simulated concurrent eviction (degrade)
     "storage.page_read",          // HeapFile::ReadPage: page IO / checksum verify
     "incremental.merge",          // PatternMaintainer::Absorb: commit barrier (degrade)
 };

@@ -15,14 +15,14 @@
 /// letting tests prove that every stage converts injected faults into clean
 /// Status returns — no crash, no leak, no partial mutation.
 ///
-/// Sites with *degrade* semantics — where the correct response to a fault is
-/// to absorb it (skip a poisoned cache entry, fall back to a cold mine)
-/// rather than propagate it — use CAPE_FAILPOINT_FIRES(name) in a plain `if`
-/// and handle the firing inline.
+/// A site with *degrade* semantics — where the correct response to a fault
+/// is to absorb it (fall back to a full re-mine) rather than propagate it —
+/// calls Trigger(name) directly, behind the same AnyActive() fast path, and
+/// handles a non-OK Status inline.
 ///
-/// With CAPE_ENABLE_FAILPOINTS=OFF at configure time both macros compile to
-/// nothing / false. When compiled in but inactive (the production default)
-/// each site costs a single relaxed atomic load and a predictable branch.
+/// With CAPE_ENABLE_FAILPOINTS=OFF at configure time the macro compiles to
+/// nothing. When compiled in but inactive (the production default) each
+/// site costs a single relaxed atomic load and a predictable branch.
 ///
 /// Environment syntax (parsed once at first use):
 ///   CAPE_FAILPOINTS="csv.read_row=io;mining.sort=internal@3;explain.norm=io%0.01"
@@ -91,7 +91,6 @@ class ScopedFailpoint {
 #define CAPE_FAILPOINT(site) \
   do {                       \
   } while (false)
-#define CAPE_FAILPOINT_FIRES(site) false
 #else
 #define CAPE_FAILPOINT(site)                                    \
   do {                                                          \
@@ -100,11 +99,6 @@ class ScopedFailpoint {
       if (!_fp_st.ok()) return _fp_st;                          \
     }                                                           \
   } while (false)
-/// Soft-site form: evaluates to true when the armed site fires, for degrade
-/// paths where the caller absorbs the fault instead of returning it.
-#define CAPE_FAILPOINT_FIRES(site)                        \
-  (CAPE_PREDICT_FALSE(::cape::failpoint::AnyActive()) &&  \
-   !::cape::failpoint::Trigger(site).ok())
 #endif
 
 #endif  // CAPE_COMMON_FAILPOINT_H_

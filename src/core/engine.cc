@@ -1,6 +1,5 @@
 #include "core/engine.h"
 
-#include "common/failpoint.h"
 #include "common/macros.h"
 #include "pattern/pattern_io.h"
 #include "relational/csv.h"
@@ -28,36 +27,12 @@ Result<Engine> Engine::FromCsvFile(const std::string& path, const CsvReadOptions
 }
 
 Status Engine::MinePatterns(const std::string& miner_name) {
-  uint64_t fingerprint = 0;
-  uint64_t config_digest = 0;
-  if (pattern_cache_ != nullptr) {
-    fingerprint = table_->Fingerprint();
-    config_digest = MiningConfigDigest(mining_config_);
-    if (auto cached = pattern_cache_->Lookup(fingerprint, config_digest)) {
-      // Serving-cache hit: zero mining work. A zeroed mining_profile() is
-      // the observable contract benches and tests pin (DESIGN.md §11).
-      patterns_ = std::move(cached);
-      mining_profile_ = MiningProfile{};
-      run_stats_.mine_truncated = false;
-      run_stats_.mine_stop_reason = StopReason::kNone;
-      return Status::OK();
-    }
-  }
   CAPE_ASSIGN_OR_RETURN(auto miner, MakeMinerByName(miner_name));
   CAPE_ASSIGN_OR_RETURN(MiningResult result, miner->Mine(*table_, mining_config_));
   patterns_ = std::make_shared<const PatternSet>(std::move(result.patterns));
   mining_profile_ = result.profile;
   run_stats_.mine_truncated = result.truncated;
   run_stats_.mine_stop_reason = result.stop_reason;
-  // Truncated results hold a subset of the full pattern set; caching one
-  // would serve incomplete explanations to every later request. Cache
-  // admission itself is best-effort: a fault here (simulated concurrent
-  // eviction / admission race) keeps the freshly mined result and simply
-  // leaves the cache cold — the request still succeeds.
-  if (pattern_cache_ != nullptr && !result.truncated &&
-      !CAPE_FAILPOINT_FIRES("engine.cache_admit")) {
-    pattern_cache_->Insert(fingerprint, config_digest, patterns_, table_->schema());
-  }
   return Status::OK();
 }
 
@@ -65,12 +40,6 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
                                const std::string& miner_name) {
   // All-or-nothing: every row must validate before any is appended.
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->ValidateRow(row));
-  const uint64_t config_digest = MiningConfigDigest(mining_config_);
-  const bool use_cache = pattern_cache_ != nullptr;
-  uint64_t old_fingerprint = 0;
-  // O(delta) thanks to the table's incremental fingerprint chain — this is
-  // the pre-append key the cache entry currently lives under.
-  if (use_cache) old_fingerprint = table_->Fingerprint();
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->AppendRow(row));
   // The memo's γ tables miss the new rows, whatever maintenance returns
   // below: later sessions get a fresh memo, and the sessions holding the
@@ -81,14 +50,8 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
 
   Status incremental = patterns_ == nullptr
                            ? Status::InvalidArgument("no prior pattern set to maintain")
-                           : MaintainIncrementally(config_digest);
-  if (incremental.ok()) {
-    if (use_cache) {
-      pattern_cache_->Upgrade(old_fingerprint, table_->Fingerprint(), config_digest,
-                              patterns_, table_->schema());
-    }
-    return Status::OK();
-  }
+                           : MaintainIncrementally(MiningConfigDigest(mining_config_));
+  if (incremental.ok()) return Status::OK();
   // Deadline/cancellation: the rows are appended and the maintainer is still
   // valid at its previous fold point — the pattern set is stale but intact,
   // and the next AppendAndRemine catches up. Surface the stop.
@@ -98,7 +61,6 @@ Status Engine::AppendAndRemine(const std::vector<Row>& rows,
   // scratch. Never silently wrong — the fallback produces exactly what a
   // cold mine of the current table produces.
   maintainer_.reset();
-  if (use_cache) pattern_cache_->Erase(old_fingerprint, config_digest);
   run_stats_.maint_full_remines += 1;
   return MinePatterns(miner_name);
 }
@@ -148,16 +110,8 @@ Status Engine::SavePatternsBinary(const std::string& path) const {
 }
 
 Status Engine::LoadPatterns(const std::string& path) {
-  PatternStoreMeta meta;
-  CAPE_ASSIGN_OR_RETURN(PatternSet loaded, LoadPatternSet(path, schema(), &meta));
+  CAPE_ASSIGN_OR_RETURN(PatternSet loaded, LoadPatternSet(path, schema()));
   patterns_ = std::make_shared<const PatternSet>(std::move(loaded));
-  // A binary store records which mining config produced it; use that to
-  // warm the serving cache so later MinePatterns calls hit without mining.
-  if (pattern_cache_ != nullptr && meta.format_version == kPatternStoreFormatVersion &&
-      meta.mining_config_digest != 0) {
-    pattern_cache_->Insert(table_->Fingerprint(), meta.mining_config_digest, patterns_,
-                           table_->schema());
-  }
   return Status::OK();
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/pattern_cache.h"
 #include "explain/baseline.h"
 #include "pattern/incremental.h"
 #include "explain/explain_session.h"
@@ -21,11 +20,11 @@ namespace cape {
 /// The counters only the engine keeps: whether the last mine was cut short,
 /// and the incremental-maintenance totals. Every other counter lives with
 /// the module that does the work — mining_profile(), ExplainResult::profile,
-/// CsvParseReport, PatternCache::stats(), the table's PageSource::stats()
-/// and RequestScheduler::stats() (DESIGN.md §8 maps each to its STATS key).
+/// CsvParseReport, the table's PageSource::stats() and
+/// RequestScheduler::stats() (DESIGN.md §8 maps each to its STATS key).
 /// Only MinePatterns and AppendAndRemine write these.
 struct RunStats {
-  // Last MinePatterns call (a cache hit reports an untruncated run).
+  // Last MinePatterns call.
   bool mine_truncated = false;
   StopReason mine_stop_reason = StopReason::kNone;
 
@@ -102,15 +101,6 @@ class Engine {
   }
   const DistanceModel& distance_model() const { return distance_model_; }
 
-  /// Attaches a (possibly shared) serving cache. When set, MinePatterns
-  /// first looks up (table fingerprint, mining-config digest) and serves a
-  /// hit with zero mining work; untruncated results are inserted after
-  /// mining. Deadline-truncated or cancelled runs are never cached — they
-  /// hold a subset of the full result and would poison later requests.
-  /// Non-owning; the cache must outlive the engine. nullptr detaches.
-  void set_pattern_cache(PatternCache* cache) { pattern_cache_ = cache; }
-  PatternCache* pattern_cache() const { return pattern_cache_; }
-
   /// Runs offline ARP mining with the named algorithm ("ARP-MINE" default;
   /// also NAIVE, CUBE, SHARE-GRP). Replaces any previously mined patterns.
   Status MinePatterns(const std::string& miner_name = "ARP-MINE");
@@ -139,22 +129,18 @@ class Engine {
   }
 
   /// Persists the mined patterns (offline phase) / restores them (online
-  /// phase). SavePatterns writes the human-readable text form;
+  /// phase): mine once, save, and later engines over the same relation load
+  /// instead of mining. SavePatterns writes the human-readable text form;
   /// SavePatternsBinary writes the binary store (with this engine's
-  /// mining-config digest). LoadPatterns sniffs the format, validates the
-  /// embedded schema, and — when a cache is attached and the store records
-  /// a config digest — warms the cache with the loaded set.
+  /// mining-config digest). LoadPatterns sniffs the format and validates the
+  /// embedded schema.
   Status SavePatterns(const std::string& path) const;
   Status SavePatternsBinary(const std::string& path) const;
   Status LoadPatterns(const std::string& path);
 
   bool has_patterns() const { return patterns_ != nullptr; }
   const PatternSet& patterns() const { return *patterns_; }
-  /// Shared handle to the mined set (what the cache and ExplainSession
-  /// hold); nullptr before MinePatterns/SetPatterns/LoadPatterns.
-  const std::shared_ptr<const PatternSet>& shared_patterns() const { return patterns_; }
-  /// Time and counters of the last MinePatterns call; all zero after a
-  /// cache hit, which does no mining work.
+  /// Time and counters of the last MinePatterns call.
   const MiningProfile& mining_profile() const { return mining_profile_; }
 
   /// What the last MinePatterns call and every AppendAndRemine call counted
@@ -171,10 +157,9 @@ class Engine {
   /// Requires MinePatterns()/SetPatterns() to have run.
   Result<ExplainResult> Explain(const UserQuestion& question, bool optimized = true) const;
 
-  /// Opens a batch serving session over the current pattern set: answers
-  /// many questions while reusing question-independent work (the refinement
-  /// adjacency, and the engine's γ memo, which every session of this engine
-  /// shares). Results are byte-identical to calling Explain() per question.
+  /// Opens a serving session over the current pattern set: it answers its
+  /// questions from the engine's γ memo, which every session of this engine
+  /// shares. Results are byte-identical to calling Explain() per question.
   /// The session answers questions over the table at its current row count
   /// only; after AppendAndRemine, open a new one. Requires patterns.
   Result<ExplainSession> MakeExplainSession() const;
@@ -200,7 +185,6 @@ class Engine {
   ExplainConfig explain_config_;
   DistanceModel distance_model_;
   std::shared_ptr<const PatternSet> patterns_;
-  PatternCache* pattern_cache_ = nullptr;
   MiningProfile mining_profile_;
   /// Lazily built by AppendAndRemine; reset when the mining config digest
   /// diverges or maintenance degrades to a full re-mine.

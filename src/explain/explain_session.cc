@@ -9,31 +9,21 @@ ExplainSession::ExplainSession(std::shared_ptr<const PatternSet> patterns,
                                DistanceModel distance, ExplainConfig config,
                                std::shared_ptr<explain_internal::AggDataCache> memo)
     : patterns_(std::move(patterns)), distance_(std::move(distance)),
-      config_(std::move(config)),
-      state_(std::make_unique<explain_internal::SessionState>()) {
-  state_->memo = std::move(memo);
-}
+      config_(std::move(config)), memo_(std::move(memo)) {}
 
 std::shared_ptr<explain_internal::AggDataCache> ExplainSession::MakeMemo(TablePtr relation) {
   return std::make_shared<explain_internal::AggDataCache>(std::move(relation));
 }
 
-// Out of line: SessionState is incomplete in the header (pimpl).
-ExplainSession::~ExplainSession() = default;
-ExplainSession::ExplainSession(ExplainSession&&) noexcept = default;
-ExplainSession& ExplainSession::operator=(ExplainSession&&) noexcept = default;
-
-int64_t ExplainSession::questions_answered() const { return state_->questions_answered; }
-
 size_t ExplainSession::num_cached_agg_tables() const {
-  return state_->memo == nullptr ? 0 : state_->memo->num_entries();
+  return memo_ == nullptr ? 0 : memo_->num_entries();
 }
 
 Result<ExplainResult> ExplainSession::Explain(const UserQuestion& question, bool optimized) {
-  if (patterns_ == nullptr || state_->memo == nullptr) {
+  if (patterns_ == nullptr || memo_ == nullptr) {
     return Status::InvalidArgument("ExplainSession has no pattern set or no γ memo");
   }
-  const explain_internal::AggDataCache& memo = *state_->memo;
+  const explain_internal::AggDataCache& memo = *memo_;
   if (question.relation != memo.relation()) {
     // The memo's γ tables are computed over its relation; serving a
     // different table from them would be silently wrong, so reject instead.
@@ -49,10 +39,9 @@ Result<ExplainResult> ExplainSession::Explain(const UserQuestion& question, bool
         "open a new session after an append");
   }
   CAPE_ASSIGN_OR_RETURN(ExplainResult result,
-                        explain_internal::RunExplainWithState(question, *patterns_, distance_,
-                                                              config_, optimized,
-                                                              state_.get()));
-  state_->questions_answered += 1;
+                        explain_internal::RunExplainWithMemo(question, *patterns_, distance_,
+                                                             config_, optimized, memo_.get()));
+  questions_answered_ += 1;
   return result;
 }
 

@@ -15,22 +15,21 @@ namespace cape::explain_internal {
 // Defined in explainer_internal.h; held by pointer so this public header
 // never includes an internal one (tools/lint.py internal-include rule).
 class AggDataCache;
-struct SessionState;
 }  // namespace cape::explain_internal
 
 namespace cape {
 
-/// Answers a batch of user questions against one mined PatternSet,
-/// reusing question-independent work: the engine's γ memo — whole
-/// γ_{attrs,agg} tables, one per attribute set, which every session of one
-/// engine shares — and the refinement adjacency (which patterns refine
-/// which). This is the online half of CAPE's offline/online split at
-/// serving granularity — mine once, open sessions, answer many questions.
-/// A warm session reads each pair's candidates and each NORM from memoized
-/// tables and scans no relation rows. A one-shot Engine::Explain() keeps
-/// neither: it pushes t'[F] = t[F] below γ per (P, P') pair and scans R for
-/// each NORM, which is cheaper for one question and dearer than a warm memo
-/// for many.
+/// Answers user questions against one mined PatternSet from the engine's
+/// γ memo — whole γ_{attrs,agg} tables, one per attribute set, which every
+/// session of one engine shares. A session holds no explain state of its
+/// own: it is a handle on the pattern set and the memo, plus its config and
+/// a question count, so it is cheap to open per question. This is the
+/// online half of CAPE's offline/online split at serving granularity — mine
+/// once, open sessions, answer many questions. A warm memo serves each
+/// pair's candidates and each NORM from its tables and scans no relation
+/// rows. A one-shot Engine::Explain() uses no memo: it pushes t'[F] = t[F]
+/// below γ per (P, P') pair and scans R for each NORM, which is cheaper for
+/// one question and dearer than a warm memo for many.
 ///
 /// Every answer is byte-identical to calling Engine::Explain() on the same
 /// question: a memoized γ table holds a superset of the pushed-down groups,
@@ -42,18 +41,17 @@ namespace cape {
 /// when the session was opened (the memo covers exactly those rows; after
 /// Engine::AppendAndRemine grows the table, open a new session). Not
 /// intended for concurrent Explain() calls on the same session; open one
-/// session per serving thread — they share the engine's pattern set and
-/// memo.
+/// session per serving thread or per request — they share the engine's
+/// pattern set and memo.
 class ExplainSession {
  public:
   /// Engine::MakeExplainSession() is the usual way to open one; `memo`
   /// comes from MakeMemo.
   ExplainSession(std::shared_ptr<const PatternSet> patterns, DistanceModel distance,
                  ExplainConfig config, std::shared_ptr<explain_internal::AggDataCache> memo);
-  ~ExplainSession();
 
-  ExplainSession(ExplainSession&&) noexcept;
-  ExplainSession& operator=(ExplainSession&&) noexcept;
+  ExplainSession(ExplainSession&&) = default;
+  ExplainSession& operator=(ExplainSession&&) = default;
   ExplainSession(const ExplainSession&) = delete;
   ExplainSession& operator=(const ExplainSession&) = delete;
 
@@ -75,7 +73,7 @@ class ExplainSession {
   const ExplainConfig& config() const { return config_; }
 
   /// Questions answered so far.
-  int64_t questions_answered() const;
+  int64_t questions_answered() const { return questions_answered_; }
   /// Distinct γ_{attrs,agg} tables in the memo so far, counting those that
   /// other sessions of the same engine added (it grows sub-linearly in
   /// questions — that is the point of the memo).
@@ -85,7 +83,9 @@ class ExplainSession {
   std::shared_ptr<const PatternSet> patterns_;
   DistanceModel distance_;
   ExplainConfig config_;
-  std::unique_ptr<explain_internal::SessionState> state_;
+  /// The engine's memo, shared with its other sessions.
+  std::shared_ptr<explain_internal::AggDataCache> memo_;
+  int64_t questions_answered_ = 0;
 };
 
 }  // namespace cape

@@ -19,7 +19,6 @@ namespace cape {
 namespace {
 
 using explain_internal::AggDataCache;
-using explain_internal::SessionState;
 
 /// Stable identity of a candidate explanation. The paper deduplicates per
 /// (P', t'); we deduplicate per counterbalance tuple t' (attrs + values),
@@ -380,34 +379,19 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
 /// candidate that could enter — or tie into — the final top-k is scored by
 /// every run. The merged top-k is therefore byte-identical at any thread
 /// count.
+///
+/// `memo` is where each pair's candidates and each NORM come from
+/// (EvaluatePair, ComputeNorm): a session's shared memo of whole γ tables,
+/// or, for a one-shot call (nullptr), no memo at all, each query pushing its
+/// selection below γ.
 Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patterns,
                                  const DistanceModel& distance, const ExplainConfig& config,
-                                 bool optimized, SessionState* state) {
+                                 bool optimized, AggDataCache* memo) {
   ExplainResult result;
   Stopwatch total;
   StopToken stop = config.MakeStopToken();
-  // Where each pair's candidates and each NORM come from (EvaluatePair,
-  // ComputeNorm): a session's shared memo of whole γ tables, or, for a
-  // one-shot call, no memo at all, each query pushing its selection below γ.
-  AggDataCache* memo = state == nullptr ? nullptr : state->memo.get();
   const bool prune_pairs = optimized && config.prune_pairs;
   const bool prune_locals = optimized && config.prune_locals;
-
-  // Refinement adjacency is question-independent; a session computes it
-  // once. The per-pattern lists keep enumeration order, so the pair list
-  // below is identical to the inline scan of the one-shot path.
-  const std::vector<GlobalPattern>& all = patterns.patterns();
-  if (state != nullptr && !state->adjacency_built) {
-    state->refinements.assign(all.size(), {});
-    for (size_t i = 0; i < all.size(); ++i) {
-      for (size_t j = 0; j < all.size(); ++j) {
-        if (all[j].pattern.IsRefinementOf(all[i].pattern)) {
-          state->refinements[i].push_back(static_cast<int64_t>(j));
-        }
-      }
-    }
-    state->adjacency_built = true;
-  }
 
   // Stage 1 (inline): relevant patterns, NORM per relevant pattern, and the
   // (P, P') pair list with Section 3.5 score upper bounds.
@@ -435,16 +419,9 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
       }
       pairs.push_back(PairTask{p, &pp, norm, bound});
     };
-    if (state != nullptr) {
-      const size_t pattern_idx = static_cast<size_t>(p - all.data());
-      for (int64_t j : state->refinements[pattern_idx]) {
-        add_pair(all[static_cast<size_t>(j)]);
-      }
-    } else {
-      for (const GlobalPattern& pp : all) {
-        if (!pp.pattern.IsRefinementOf(p->pattern)) continue;
-        add_pair(pp);
-      }
+    for (const GlobalPattern& pp : patterns.patterns()) {
+      if (!pp.pattern.IsRefinementOf(p->pattern)) continue;
+      add_pair(pp);
     }
   }
   // Decreasing bound order raises the floor as early as possible. The sort
@@ -519,7 +496,7 @@ class NaiveExplainer final : public ExplanationGenerator {
                                 const DistanceModel& distance,
                                 const ExplainConfig& config) override {
     return RunExplain(q, patterns, distance, config, /*optimized=*/false,
-                      /*state=*/nullptr);
+                      /*memo=*/nullptr);
   }
 };
 
@@ -532,7 +509,7 @@ class OptimizedExplainer final : public ExplanationGenerator {
                                 const DistanceModel& distance,
                                 const ExplainConfig& config) override {
     return RunExplain(q, patterns, distance, config, /*optimized=*/true,
-                      /*state=*/nullptr);
+                      /*memo=*/nullptr);
   }
 };
 
@@ -540,11 +517,11 @@ class OptimizedExplainer final : public ExplanationGenerator {
 
 namespace explain_internal {
 
-Result<ExplainResult> RunExplainWithState(const UserQuestion& q, const PatternSet& patterns,
-                                          const DistanceModel& distance,
-                                          const ExplainConfig& config, bool optimized,
-                                          SessionState* state) {
-  return RunExplain(q, patterns, distance, config, optimized, state);
+Result<ExplainResult> RunExplainWithMemo(const UserQuestion& q, const PatternSet& patterns,
+                                         const DistanceModel& distance,
+                                         const ExplainConfig& config, bool optimized,
+                                         AggDataCache* memo) {
+  return RunExplain(q, patterns, distance, config, optimized, memo);
 }
 
 }  // namespace explain_internal

@@ -89,29 +89,12 @@ class AggDataCache {
   std::unordered_map<std::string, std::shared_ptr<Entry>> cache_ CAPE_GUARDED_BY(mu_);
 };
 
-/// Question-independent work an ExplainSession reuses across its batch:
-/// the engine's γ memo above, and the refinement adjacency (for each
-/// pattern index, the indices — in enumeration order — of the patterns
-/// refining it, which the one-shot path rediscovers with an O(N_P) scan per
-/// relevant pattern on every question). Reusing the adjacency preserves the
-/// deterministic pair-list order, so session answers are byte-identical to
-/// one-shot Explain() calls.
-struct SessionState {
-  /// The engine's memo, shared with its other sessions.
-  std::shared_ptr<AggDataCache> memo;
-  bool adjacency_built = false;
-  std::vector<std::vector<int64_t>> refinements;
-
-  /// Cumulative counters across the session's questions.
-  int64_t questions_answered = 0;
-};
-
-/// Shared generator implementation (see explainer.cc). `state` may be
-/// nullptr (one-shot call, nothing memoized) or an ExplainSession's state.
-Result<ExplainResult> RunExplainWithState(const UserQuestion& q, const PatternSet& patterns,
-                                          const DistanceModel& distance,
-                                          const ExplainConfig& config, bool optimized,
-                                          SessionState* state);
+/// Shared generator implementation (see explainer.cc). `memo` is nullptr
+/// for a one-shot call (nothing memoized) or an ExplainSession's γ memo.
+Result<ExplainResult> RunExplainWithMemo(const UserQuestion& q, const PatternSet& patterns,
+                                         const DistanceModel& distance,
+                                         const ExplainConfig& config, bool optimized,
+                                         AggDataCache* memo);
 
 }  // namespace cape::explain_internal
 

@@ -88,8 +88,8 @@ struct MiningConfig {
 /// excluded attributes, FD optimizations, and initial FDs. Performance and
 /// lifecycle knobs (num_threads, deadline_ms, cancel_token) are explicitly
 /// excluded — they never change an untruncated result (DESIGN.md §9), so
-/// cached pattern sets stay valid across them. Forms the second half of the
-/// PatternCache key next to Table::Fingerprint.
+/// a stored pattern set stays valid across them. The binary store records it
+/// in its header, and PatternMaintainer checks it before an incremental fold.
 uint64_t MiningConfigDigest(const MiningConfig& config);
 
 /// Time attribution for Figure 4 plus counters used in tests/benches.

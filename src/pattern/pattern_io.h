@@ -52,9 +52,9 @@ Result<PatternSet> LoadPatternSet(const std::string& path, const Schema& schema,
 ///
 /// The schema digest and embedded fields reject loads against the wrong
 /// relation; the mining-config digest records which MiningConfig produced
-/// the set (0 when unknown) so the PatternCache can key disk entries; the
-/// trailing checksum turns any byte-level corruption or truncation into a
-/// clean InvalidArgument instead of a misparse. The codec is value-exact:
+/// the set (0 when unknown); the trailing checksum turns any byte-level
+/// corruption or truncation into a clean InvalidArgument instead of a
+/// misparse. The codec is value-exact:
 /// binary -> text -> binary and text -> binary -> text are both byte
 /// fixpoints (doubles are stored as raw IEEE bytes here and via the
 /// round-trip-exact FormatDouble in the text form).

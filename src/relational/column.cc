@@ -307,47 +307,4 @@ Value Column::Max() const {
   return best;
 }
 
-void Column::HashContent(Fnv64* h) const {
-  h->UpdateU8(static_cast<uint8_t>(type_));
-  h->UpdateU64(validity_.size());
-  if (!validity_.empty()) h->Update(validity_.data(), validity_.size());
-  switch (type_) {
-    case DataType::kInt64:
-      if (!int64_data_.empty()) {
-        h->Update(int64_data_.data(), int64_data_.size() * sizeof(int64_t));
-      }
-      break;
-    case DataType::kDouble:
-      if (!double_data_.empty()) {
-        h->Update(double_data_.data(), double_data_.size() * sizeof(double));
-      }
-      break;
-    case DataType::kString:
-      // Codes are first-appearance ordered, so (dictionary, codes) is a
-      // canonical function of the appended string sequence.
-      h->UpdateU64(dict_.size());
-      for (const std::string& s : dict_) h->UpdateString(s);
-      if (!codes_.empty()) h->Update(codes_.data(), codes_.size() * sizeof(int32_t));
-      break;
-  }
-}
-
-void Column::HashRows(Fnv64* h, int64_t begin, int64_t end) const {
-  for (int64_t row = begin; row < end; ++row) {
-    const size_t i = static_cast<size_t>(row);
-    h->UpdateU8(validity_[i]);
-    switch (type_) {
-      case DataType::kInt64:
-        h->UpdateI64(int64_data_[i]);
-        break;
-      case DataType::kDouble:
-        h->UpdateDouble(double_data_[i]);
-        break;
-      case DataType::kString:
-        h->UpdateString(GetString(row));
-        break;
-    }
-  }
-}
-
 }  // namespace cape

@@ -144,24 +144,6 @@ class Column {
   Value Min() const;
   Value Max() const;
 
-  /// Folds this column's full content — type, validity bitmap, typed data,
-  /// and (for string columns) the dictionary plus per-row codes — into `h`.
-  /// Two columns with equal logical content built by the same append
-  /// sequence hash equal; any row/dictionary mutation changes the digest.
-  /// Feeds Table::Fingerprint for pattern-cache invalidation.
-  void HashContent(Fnv64* h) const;
-
-  /// Folds rows [begin, end) into `h` as a per-row canonical stream: the
-  /// validity flag, then the raw int64/double payload (null slots hold 0 /
-  /// 0.0) or the row's string content (null rows hash as the empty string —
-  /// the flag disambiguates). Unlike HashContent, the stream for row i does
-  /// not depend on rows > i (string rows hash their content, not a
-  /// dictionary code), so a running Fnv64 can be extended row-by-row as the
-  /// column grows: HashRows(h, 0, k) then HashRows(h, k, n) produces the
-  /// same digest as HashRows(h, 0, n). This is what makes
-  /// Table::Fingerprint O(delta) on append.
-  void HashRows(Fnv64* h, int64_t begin, int64_t end) const;
-
   /// Installs a heap-file dictionary into an empty string column (paged
   /// tables keep dictionaries resident while rows live on disk). Entries
   /// must be distinct and in file code order, so GetCode/FindCode/DictString

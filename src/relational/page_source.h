@@ -89,11 +89,6 @@ class PageSource {
   virtual int rows_per_page() const = 0;
   virtual int64_t num_pages() const = 0;
 
-  /// Content digest of the backing data, covering schema, row payloads,
-  /// validity, and dictionaries. Feeds Table::Fingerprint for non-resident
-  /// tables, where hashing the (absent) in-memory columns is meaningless.
-  virtual uint64_t content_digest() const = 0;
-
   /// Pins `page` (reading it if not cached) and returns a guard whose view
   /// stays valid until the guard is released. Fails cleanly on IO or
   /// checksum errors.

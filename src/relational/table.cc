@@ -9,8 +9,7 @@
 namespace cape {
 
 Table::Table(std::shared_ptr<Schema> schema)
-    : schema_(std::move(schema)),
-      fingerprint_cell_(std::make_unique<FingerprintCell>()) {
+    : schema_(std::move(schema)) {
   columns_.reserve(static_cast<size_t>(schema_->num_fields()));
   for (int i = 0; i < schema_->num_fields(); ++i) {
     columns_.emplace_back(schema_->field(i).type);
@@ -209,39 +208,6 @@ Status Table::AttachPageSource(std::shared_ptr<PageSource> source) {
   num_rows_ = source->num_rows();
   page_source_ = std::move(source);
   return Status::OK();
-}
-
-uint64_t Table::Fingerprint() const {
-  Fnv64 h;
-  h.UpdateU64(schema_->Digest());
-  h.UpdateI64(num_rows_);
-  if (!rows_resident()) {
-    // Rows live in the heap file; the writer's digest covers them (plus
-    // validity and dictionaries), so it is the content under this schema.
-    h.UpdateU64(page_source_->content_digest());
-    return h.digest();
-  }
-  FingerprintCell& cell = *fingerprint_cell_;
-  MutexLock lock(cell.mu);
-  if (!cell.valid || cell.rows_hashed > num_rows_) {
-    cell.col_states.assign(columns_.size(), Fnv64());
-    cell.rows_hashed = 0;
-    cell.valid = true;
-  }
-  if (cell.rows_hashed < num_rows_) {
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].HashRows(&cell.col_states[c], cell.rows_hashed, num_rows_);
-    }
-    cell.rows_hashed = num_rows_;
-  }
-  for (const Fnv64& state : cell.col_states) h.UpdateU64(state.digest());
-  return h.digest();
-}
-
-void Table::InvalidateFingerprint() {
-  FingerprintCell& cell = *fingerprint_cell_;
-  MutexLock lock(cell.mu);
-  cell.valid = false;
 }
 
 TablePtr MakeEmptyTable(std::vector<Field> fields) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/result.h"
 #include "relational/column.h"
 #include "relational/page_source.h"
@@ -36,13 +35,8 @@ class Table {
 
   const Column& column(int i) const { return columns_[static_cast<size_t>(i)]; }
 
-  /// Mutable column access. Hands out storage the fingerprint cache cannot
-  /// see through, so it drops the cached digest: the next Fingerprint()
-  /// rehashes from row 0.
-  Column& mutable_column(int i) {
-    InvalidateFingerprint();
-    return columns_[static_cast<size_t>(i)];
-  }
+  /// Mutable column access.
+  Column& mutable_column(int i) { return columns_[static_cast<size_t>(i)]; }
 
   /// Column lookup by name; NotFound for unknown names.
   Result<const Column*> ColumnByName(const std::string& name) const;
@@ -92,23 +86,6 @@ class Table {
   /// names). Intended for tests and after bulk construction.
   Status Validate() const;
 
-  /// Content fingerprint over the schema digest, row count, and every
-  /// column's per-row content stream (validity, typed payloads, string
-  /// contents). Equal-content tables fingerprint equal; any appended row,
-  /// changed cell, or schema difference changes it. This is the cache key
-  /// half that invalidates persisted pattern sets when the underlying
-  /// relation changes (PatternCache).
-  ///
-  /// The digest is cached and chain-extended: each column keeps a running
-  /// Fnv64 state over rows [0, rows_hashed), so a fingerprint after an
-  /// append only hashes the delta rows — O(delta), not O(table). The cached
-  /// states are a pure function of row content (Column::HashRows), so
-  /// append-then-fingerprint equals a fresh-load fingerprint of the same
-  /// rows. mutable_column() invalidates the cache (next call rehashes from
-  /// row 0). Thread-safe. Non-resident paged tables hash the page source's
-  /// content digest instead of the (absent) columns.
-  uint64_t Fingerprint() const;
-
   /// Attaches the heap-file row source of an out-of-core table
   /// (storage/paged_table.h). The table must be empty: its row count comes
   /// from the source, its columns stay row-free (dictionaries and paged
@@ -125,24 +102,10 @@ class Table {
   bool rows_resident() const { return page_source_ == nullptr; }
 
  private:
-  /// Cached incremental fingerprint state: one running per-column Fnv64 over
-  /// rows [0, rows_hashed). Behind a unique_ptr so Table stays movable-only
-  /// in a controlled way (the Mutex is neither copyable nor movable) and the
-  /// cell can be mutated from the const Fingerprint() path.
-  struct FingerprintCell {
-    Mutex mu;
-    bool valid CAPE_GUARDED_BY(mu) = false;
-    int64_t rows_hashed CAPE_GUARDED_BY(mu) = 0;
-    std::vector<Fnv64> col_states CAPE_GUARDED_BY(mu);
-  };
-
-  void InvalidateFingerprint();
-
   std::shared_ptr<Schema> schema_;
   std::vector<Column> columns_;
   int64_t num_rows_ = 0;
   std::shared_ptr<PageSource> page_source_;
-  std::unique_ptr<FingerprintCell> fingerprint_cell_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

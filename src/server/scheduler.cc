@@ -37,16 +37,13 @@ std::string CountersJson(
 
 /// The STATS payload, read from each counter's owner (DESIGN.md §8).
 std::string StatsJson(const Engine& engine, const RequestScheduler::Stats& s) {
-  const PatternCache* cache = engine.pattern_cache();
-  const PatternCache::Stats c = cache != nullptr ? cache->stats() : PatternCache::Stats{};
   const PageSource* pages = engine.table()->page_source().get();
   const PageSourceStats p = pages != nullptr ? pages->stats() : PageSourceStats{};
   const RunStats& r = engine.run_stats();
   const int64_t patterns =
       engine.has_patterns() ? static_cast<int64_t>(engine.patterns().size()) : 0;
   return "{\"engine\":" +
-         CountersJson({{"patterns_mined", patterns}, {"cache_hits", c.hits},
-                       {"cache_misses", c.misses}, {"page_hits", p.hits},
+         CountersJson({{"patterns_mined", patterns}, {"page_hits", p.hits},
                        {"page_misses", p.misses}, {"page_evictions", p.evictions},
                        {"page_bytes_pinned", p.bytes_pinned},
                        {"maint_appends", r.maint_appends},
@@ -85,11 +82,7 @@ RequestScheduler::RequestScheduler(const Engine* engine, Catalog catalog, Thread
       catalog_(std::move(catalog)),
       pool_(pool),
       config_(config),
-      admission_(config.admission) {
-  MutexLock lock(mu_);
-  max_sessions_ =
-      config_.num_sessions > 0 ? config_.num_sessions : pool_->num_threads() + 1;
-}
+      admission_(config.admission) {}
 
 RequestScheduler::~RequestScheduler() { Shutdown(); }
 
@@ -141,35 +134,6 @@ void RequestScheduler::Submit(Request request, ResponseCallback done) {
   done(rejection);
 }
 
-std::unique_ptr<ExplainSession> RequestScheduler::AcquireSession() {
-  MutexLock lock(mu_);
-  while (free_sessions_.empty() && sessions_outstanding_ >= max_sessions_) {
-    session_cv_.Wait(mu_);
-  }
-  ++sessions_outstanding_;
-  if (!free_sessions_.empty()) {
-    std::unique_ptr<ExplainSession> session = std::move(free_sessions_.back());
-    free_sessions_.pop_back();
-    return session;
-  }
-  Result<ExplainSession> fresh = engine_->MakeExplainSession();
-  if (!fresh.ok()) {
-    // Only possible when the engine has no patterns — a setup error surfaced
-    // per-request as a structured kError by Execute.
-    --sessions_outstanding_;
-    session_cv_.NotifyOne();
-    return nullptr;
-  }
-  return std::make_unique<ExplainSession>(std::move(fresh).ValueOrDie());
-}
-
-void RequestScheduler::ReleaseSession(std::unique_ptr<ExplainSession> session) {
-  MutexLock lock(mu_);
-  --sessions_outstanding_;
-  if (session != nullptr) free_sessions_.push_back(std::move(session));
-  session_cv_.NotifyOne();
-}
-
 void RequestScheduler::RunOne() {
   Pending pending;
   std::function<void()> hook;
@@ -199,28 +163,14 @@ void RequestScheduler::RunOne() {
 
   if (IsAppendStatement(pending.request.statement)) {
     AcquireWriteGate();
-    const int64_t rows_before = engine_->table()->num_rows();
     Response response = ExecuteAppend(pending);
-    if (engine_->table()->num_rows() != rows_before) {
-      // Rows went in, even when maintenance was cut short or its fallback
-      // failed. The engine replaced its γ memo; pooled sessions hold the old
-      // pattern set and the old memo over fewer rows, and would reject every
-      // question from now on. Drop them so later requests open sessions on
-      // the new memo and explain against the grown table. (No session is
-      // outstanding: sessions are only held under the read gate, which the
-      // write gate excludes.)
-      MutexLock lock(mu_);
-      free_sessions_.clear();
-    }
     ReleaseWriteGate();
     Finish(&pending, std::move(response));
     return;
   }
 
   AcquireReadGate();
-  std::unique_ptr<ExplainSession> session = AcquireSession();
-  Response response = Execute(pending, session.get(), degraded);
-  ReleaseSession(std::move(session));
+  Response response = Execute(pending, degraded);
   ReleaseReadGate();
   Finish(&pending, std::move(response));
 }
@@ -324,8 +274,7 @@ Response RequestScheduler::ExecuteAppend(const Pending& pending) {
   }
 }
 
-Response RequestScheduler::Execute(const Pending& pending, ExplainSession* session,
-                                   bool degraded) {
+Response RequestScheduler::Execute(const Pending& pending, bool degraded) {
   Response response;
   response.id = pending.request.id;
   // The zero-crash guarantee for serving threads: anything an execution path
@@ -352,7 +301,11 @@ Response RequestScheduler::Execute(const Pending& pending, ExplainSession* sessi
     }
 
     if (const auto* cmd = std::get_if<ExplainWhyCommand>(&*parsed)) {
-      if (session == nullptr) {
+      // A session is a handle on the engine's pattern set and γ memo, opened
+      // under the read gate, so it always sees the table as of the last
+      // append.
+      Result<ExplainSession> session = engine_->MakeExplainSession();
+      if (!session.ok()) {
         response.outcome = Outcome::kError;
         response.error = "engine has no mined patterns";
         return response;

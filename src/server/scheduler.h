@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/annotations.h"
 #include "common/mutex.h"
@@ -43,11 +41,6 @@ struct SchedulerConfig {
   /// cheaper answers drain the queue faster than full ones. <= 0 disables.
   int degrade_queue_depth = 0;
   int degraded_top_k = 3;
-
-  /// Pooled ExplainSessions (each memoizes γ agg tables across the requests
-  /// it serves; one is held per executing request). <= 0 sizes to the pool's
-  /// worker count + 1.
-  int num_sessions = 0;
 };
 
 class RequestScheduler {
@@ -122,9 +115,10 @@ class RequestScheduler {
   /// Pops and fully serves one queued request (pool task body).
   void RunOne() CAPE_EXCLUDES(mu_);
 
-  /// Executes the statement of `pending` on `session`; returns the terminal
+  /// Executes the statement of `pending`; an EXPLAIN opens its own
+  /// ExplainSession on the engine's shared γ memo. Returns the terminal
   /// response (never throws; all errors become Outcome::kError).
-  Response Execute(const Pending& pending, ExplainSession* session, bool degraded);
+  Response Execute(const Pending& pending, bool degraded);
 
   /// Serves one APPEND statement (caller holds the write gate). Parses the
   /// CSV payload against the engine schema, appends all-or-nothing, and
@@ -135,8 +129,8 @@ class RequestScheduler {
 
   /// Reader/writer gate between Execute (shared) and ExecuteAppend
   /// (exclusive). Write-preferring: a waiting append blocks new readers so a
-  /// steady SELECT stream cannot starve it. Sessions are only held while the
-  /// read side is held, so a writer never waits on a parked session.
+  /// steady SELECT stream cannot starve it. Sessions live only inside
+  /// Execute, under the read side, so none outlives an append.
   void AcquireReadGate() CAPE_EXCLUDES(mu_);
   void ReleaseReadGate() CAPE_EXCLUDES(mu_);
   void AcquireWriteGate() CAPE_EXCLUDES(mu_);
@@ -148,9 +142,6 @@ class RequestScheduler {
 
   void CountOutcome(Outcome outcome) CAPE_EXCLUDES(mu_);
 
-  std::unique_ptr<ExplainSession> AcquireSession() CAPE_EXCLUDES(mu_);
-  void ReleaseSession(std::unique_ptr<ExplainSession> session) CAPE_EXCLUDES(mu_);
-
   const Engine* const engine_;
   Engine* const mutable_engine_;
   const Catalog catalog_;
@@ -160,15 +151,11 @@ class RequestScheduler {
 
   mutable Mutex mu_;
   CondVar drain_cv_;
-  CondVar session_cv_;
   CondVar gate_cv_;
   int active_readers_ CAPE_GUARDED_BY(mu_) = 0;
   int writers_waiting_ CAPE_GUARDED_BY(mu_) = 0;
   bool writer_active_ CAPE_GUARDED_BY(mu_) = false;
   std::deque<Pending> queue_ CAPE_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<ExplainSession>> free_sessions_ CAPE_GUARDED_BY(mu_);
-  int sessions_outstanding_ CAPE_GUARDED_BY(mu_) = 0;
-  int max_sessions_ CAPE_GUARDED_BY(mu_) = 0;
   int inflight_ CAPE_GUARDED_BY(mu_) = 0;
   bool draining_ CAPE_GUARDED_BY(mu_) = false;
   Stats stats_ CAPE_GUARDED_BY(mu_);

@@ -36,8 +36,7 @@ namespace cape {
 ///
 /// All checksums and the content digest are FNV-1a (common/hash.h). Page
 /// checksums cover the page payload; the digest folds the schema digest,
-/// row count, every page checksum, and the trailer bytes, and is the
-/// content identity Table::Fingerprint uses for non-resident tables.
+/// row count, every page checksum, and the trailer bytes.
 
 /// Default page geometry: 8192 rows = 4 kernel blocks per page. At the
 /// crime-table shape (~4 string + 2 numeric columns) this is ~350 KB per

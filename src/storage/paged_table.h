@@ -25,7 +25,6 @@ class PagedTable : public PageSource {
   int64_t num_rows() const override { return file_->num_rows(); }
   int rows_per_page() const override { return static_cast<int>(file_->rows_per_page()); }
   int64_t num_pages() const override { return file_->num_pages(); }
-  uint64_t content_digest() const override { return file_->content_digest(); }
 
   Result<PageRef> Pin(int64_t page) override {
     PageView view;

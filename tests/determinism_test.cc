@@ -2,12 +2,10 @@
 
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "core/engine.h"
-#include "core/pattern_cache.h"
 #include "datagen/crime.h"
 #include "datagen/dblp.h"
 #include "pattern/pattern_io.h"
@@ -281,80 +279,6 @@ TEST(ParallelEquivalenceTest, TruncatedParallelExplainIsSubsetOfUntimed) {
       ASSERT_NE(it, best_scores.end()) << "tuple absent from untimed run";
       EXPECT_GE(it->second, e.score);
     }
-  }
-}
-
-/// Serving-cache determinism: many threads hitting one warm PatternCache
-/// concurrently (each with its own Engine, as in a serving fleet) must all
-/// get the cached set with zero mining work and produce byte-identical
-/// top-k explanations — the cache hands out one shared immutable
-/// PatternSet, so concurrency can only change timing, never results.
-TEST(ParallelEquivalenceTest, ConcurrentWarmCacheLookupsAreByteIdentical) {
-  PatternCache cache;
-  Engine reference = MakeEngine(5);
-  reference.set_pattern_cache(&cache);
-  ASSERT_TRUE(reference.MinePatterns().ok());
-  ASSERT_EQ(cache.stats().misses, 1);
-  auto q = reference.MakeQuestion({"author", "venue", "year"},
-                                  {Value::String(kDblpPlantedAuthor),
-                                   Value::String("SIGKDD"), Value::Int64(2007)},
-                                  AggFunc::kCount, "*", Direction::kLow);
-  ASSERT_TRUE(q.ok());
-  auto expected = reference.Explain(*q);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_FALSE(expected->explanations.empty());
-
-  for (const int num_threads : {2, 4, 8}) {
-    std::vector<ExplainResult> results(static_cast<size_t>(num_threads));
-    std::vector<int> failures(static_cast<size_t>(num_threads), 0);
-    std::vector<std::thread> workers;
-    for (int t = 0; t < num_threads; ++t) {
-      workers.emplace_back([&, t] {
-        Engine engine = MakeEngine(5);
-        engine.set_pattern_cache(&cache);
-        // A hit hands out the reference's set and does no mining work.
-        if (!engine.MinePatterns().ok() ||
-            engine.shared_patterns() != reference.shared_patterns() ||
-            engine.mining_profile().total_ns != 0) {
-          failures[static_cast<size_t>(t)] = 1;
-          return;
-        }
-        auto question = engine.MakeQuestion(
-            {"author", "venue", "year"},
-            {Value::String(kDblpPlantedAuthor), Value::String("SIGKDD"),
-             Value::Int64(2007)},
-            AggFunc::kCount, "*", Direction::kLow);
-        if (!question.ok()) {
-          failures[static_cast<size_t>(t)] = 2;
-          return;
-        }
-        auto result = engine.Explain(*question);
-        if (!result.ok()) {
-          failures[static_cast<size_t>(t)] = 3;
-          return;
-        }
-        results[static_cast<size_t>(t)] = *std::move(result);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-
-    for (int t = 0; t < num_threads; ++t) {
-      ASSERT_EQ(failures[static_cast<size_t>(t)], 0)
-          << "thread " << t << " of " << num_threads << " failed";
-      const ExplainResult& got = results[static_cast<size_t>(t)];
-      ASSERT_EQ(got.explanations.size(), expected->explanations.size())
-          << "thread " << t << " of " << num_threads;
-      for (size_t i = 0; i < got.explanations.size(); ++i) {
-        const Explanation& g = got.explanations[i];
-        const Explanation& w = expected->explanations[i];
-        EXPECT_EQ(g.score, w.score) << "thread " << t;
-        EXPECT_EQ(g.tuple_values, w.tuple_values) << "thread " << t;
-        EXPECT_EQ(g.relevant_pattern, w.relevant_pattern) << "thread " << t;
-        EXPECT_EQ(g.refinement_pattern, w.refinement_pattern) << "thread " << t;
-      }
-    }
-    // Every thread hit; the sole miss was the reference's cold mine.
-    EXPECT_EQ(cache.stats().misses, 1);
   }
 }
 

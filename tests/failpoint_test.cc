@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "core/engine.h"
-#include "core/pattern_cache.h"
 #include "datagen/dblp.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
@@ -47,7 +45,7 @@ TEST(FailpointTest, EnvVarArmsASite) {
 TEST(FailpointTest, InactiveByDefaultAndSitesRegistered) {
   EXPECT_FALSE(failpoint::AnyActive());
   const std::vector<std::string> sites = failpoint::AllSites();
-  EXPECT_GE(sites.size(), 15u);
+  EXPECT_EQ(sites.size(), 12u);
   // A clean run is unaffected by the framework being compiled in.
   EXPECT_TRUE(ReadCsvString("a,b\n1,2\n").ok());
 }
@@ -156,8 +154,8 @@ TEST(FailpointTest, ProbabilisticLosingDrawsDoNotConsumeCount) {
 // ---------------------------------------------------------------------------
 // Every registered site, forced in turn, converts the injected fault into a
 // clean Status from its pipeline stage — no crash, no partial mutation.
-// Hard sites propagate the fault as an error Status; degrade sites absorb it
-// (the stage still succeeds, falling back to cold behavior).
+// Hard sites propagate the fault as an error Status; the degrade site absorbs
+// it (the stage still succeeds, falling back to a full re-mine).
 
 MiningConfig SmallMiningConfig() {
   MiningConfig config;
@@ -240,36 +238,6 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
     return fx.engine.SavePatterns(TestTempPath("failpoint_out.patterns"));
   }
   if (site == "pattern_io.load") return fx.engine.LoadPatterns(fx.patterns_path);
-  if (site == "engine.cache_admit") {
-    PatternCache cache(/*byte_budget=*/1ull << 26);
-    fx.engine.set_pattern_cache(&cache);
-    Status st = fx.engine.MinePatterns("ARP-MINE");
-    fx.engine.set_pattern_cache(nullptr);
-    return st;
-  }
-  if (site == "pattern_cache.save_entry") {
-    PatternCache cache(/*byte_budget=*/1ull << 26);
-    cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
-                 fx.engine.shared_patterns(), fx.table->schema());
-    return cache.SaveToDirectory(TestTempPath("failpoint_cache_out"));
-  }
-  if (site == "pattern_cache.load_entry") {
-    PatternCache cache(/*byte_budget=*/1ull << 26);
-    cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
-                 fx.engine.shared_patterns(), fx.table->schema());
-    const std::string dir = TestTempPath("failpoint_cache_load");
-    CAPE_RETURN_IF_ERROR(cache.SaveToDirectory(dir));
-    PatternCache fresh(/*byte_budget=*/1ull << 26);
-    return fresh.LoadFromDirectory(dir, *fx.table->schema(), fx.table->Fingerprint())
-        .status();
-  }
-  if (site == "pattern_cache.lookup_race") {
-    PatternCache cache(/*byte_budget=*/1ull << 26);
-    cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
-                 fx.engine.shared_patterns(), fx.table->schema());
-    (void)cache.Lookup(fx.table->Fingerprint(), /*mining_config_digest=*/1);
-    return Status::OK();
-  }
   if (site == "incremental.merge") {
     // The fault fires at the maintainer's commit barrier; AppendAndRemine
     // must absorb it by re-mining from scratch — append durable, patterns
@@ -288,11 +256,8 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
 }
 
 /// Sites whose correct response to a fault is to absorb it (fall back to a
-/// cold mine, skip a poisoned entry) rather than propagate an error.
-bool IsDegradeSite(const std::string& site) {
-  return site == "engine.cache_admit" || site == "pattern_cache.load_entry" ||
-         site == "pattern_cache.lookup_race" || site == "incremental.merge";
-}
+/// full re-mine) rather than propagate an error.
+bool IsDegradeSite(const std::string& site) { return site == "incremental.merge"; }
 
 TEST(FailpointTest, EverySiteConvertsInjectedFaultIntoCleanStatus) {
   PipelineFixture fx = MakeFixture();
@@ -334,99 +299,6 @@ TEST(FailpointTest, FaultedSaveDoesNotCreateTheFile) {
   failpoint::ScopedFailpoint fp("pattern_io.save");
   EXPECT_TRUE(fx.engine.SavePatterns(path).IsIOError());
   EXPECT_FALSE(std::ifstream(path).good());
-}
-
-// ---------------------------------------------------------------------------
-// Degrade-site semantics: the serving cache absorbs faults instead of
-// propagating them, and the engine falls back to a cold mine.
-
-TEST(FailpointTest, CacheAdmitFaultLeavesCacheColdButMiningSucceeds) {
-  PipelineFixture fx = MakeFixture();
-  PatternCache cache(/*byte_budget=*/1ull << 26);
-  fx.engine.set_pattern_cache(&cache);
-
-  {
-    failpoint::ScopedFailpoint fp("engine.cache_admit");
-    EXPECT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-    EXPECT_GT(fx.engine.patterns().size(), 0u);  // the mine itself succeeded
-    EXPECT_EQ(cache.stats().entries, 0);         // but nothing was admitted
-  }
-
-  // Disarmed: the next mine inserts, and the one after serves from cache.
-  EXPECT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-  EXPECT_EQ(cache.stats().entries, 1);
-  EXPECT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-  EXPECT_EQ(fx.engine.mining_profile().total_ns, 0);
-  fx.engine.set_pattern_cache(nullptr);
-}
-
-TEST(FailpointTest, LookupRaceDegradesToMiss) {
-  PipelineFixture fx = MakeFixture();
-  PatternCache cache(/*byte_budget=*/1ull << 26);
-  cache.Insert(fx.table->Fingerprint(), /*mining_config_digest=*/1,
-               fx.engine.shared_patterns(), fx.table->schema());
-
-  {
-    failpoint::ScopedFailpoint fp("pattern_cache.lookup_race");
-    EXPECT_EQ(cache.Lookup(fx.table->Fingerprint(), 1), nullptr);
-    EXPECT_EQ(cache.stats().misses, 1);
-    EXPECT_EQ(cache.stats().hits, 0);
-  }
-  // The entry was never removed; with the race disarmed the hit returns.
-  EXPECT_NE(cache.Lookup(fx.table->Fingerprint(), 1), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1);
-}
-
-TEST(FailpointTest, PoisonedDiskEntryDegradesToColdMine) {
-  PipelineFixture fx = MakeFixture();
-  const std::string dir = TestTempPath("failpoint_poisoned_store");
-
-  // Persist a valid cache snapshot for this table.
-  {
-    PatternCache cache(/*byte_budget=*/1ull << 26);
-    fx.engine.set_pattern_cache(&cache);
-    ASSERT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-    ASSERT_EQ(cache.stats().entries, 1);
-    ASSERT_TRUE(cache.SaveToDirectory(dir).ok());
-    fx.engine.set_pattern_cache(nullptr);
-  }
-  const std::string rendered = fx.engine.RenderPatterns();
-
-  // A poisoned (corrupt-read) disk entry is skipped at load: the warm-start
-  // yields zero entries, and the engine simply mines cold — same patterns,
-  // no error surfaced to the request path.
-  PatternCache cache(/*byte_budget=*/1ull << 26);
-  {
-    failpoint::ScopedFailpoint fp("pattern_cache.load_entry");
-    auto loaded = cache.LoadFromDirectory(dir, *fx.table->schema(), fx.table->Fingerprint());
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(*loaded, 0);
-    EXPECT_EQ(cache.stats().entries, 0);
-  }
-  fx.engine.set_pattern_cache(&cache);
-  ASSERT_TRUE(fx.engine.MinePatterns("ARP-MINE").ok());
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_GE(cache.stats().misses, 1);
-  EXPECT_GT(fx.engine.mining_profile().total_ns, 0);  // a genuine cold mine, not a hit
-  EXPECT_EQ(fx.engine.RenderPatterns(), rendered);
-  fx.engine.set_pattern_cache(nullptr);
-
-  // Sanity: with the failpoint disarmed the same directory loads cleanly.
-  PatternCache healthy(/*byte_budget=*/1ull << 26);
-  auto loaded = healthy.LoadFromDirectory(dir, *fx.table->schema(), fx.table->Fingerprint());
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(*loaded, 1);
-
-  // Genuinely corrupt bytes (not just an injected fault) degrade the same
-  // way: truncate the stored entry and reload.
-  for (const auto& dirent : std::filesystem::directory_iterator(dir)) {
-    std::ofstream out(dirent.path(), std::ios::trunc | std::ios::binary);
-    out << "not a pattern store";
-  }
-  PatternCache corrupt(/*byte_budget=*/1ull << 26);
-  loaded = corrupt.LoadFromDirectory(dir, *fx.table->schema(), fx.table->Fingerprint());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(*loaded, 0);
 }
 
 TEST(FailpointTest, PoisonedIncrementalMergeDegradesToFullRemine) {

@@ -419,7 +419,7 @@ TEST_F(ServerTest, StatsCountsPatternsThatWereNotMinedHere) {
   }
 }
 
-TEST_F(ServerTest, StatsReadsPagerAndCacheCountersFromTheirOwners) {
+TEST_F(ServerTest, StatsReadsPagerCountersFromThePager) {
   DblpOptions data;
   data.num_rows = 6000;  // three 2048-row pages
   data.seed = 5;
@@ -431,10 +431,7 @@ TEST_F(ServerTest, StatsReadsPagerAndCacheCountersFromTheirOwners) {
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
   Engine engine = std::move(Engine::FromTable(*paged)).ValueOrDie();
   engine.mining_config() = engine_->mining_config();
-  PatternCache cache;
-  engine.set_pattern_cache(&cache);
-  ASSERT_TRUE(engine.MinePatterns().ok());  // a miss: mined, then admitted
-  ASSERT_TRUE(engine.MinePatterns().ok());  // a hit
+  ASSERT_TRUE(engine.MinePatterns().ok());
 
   ServerOptions options;
   options.num_workers = 2;
@@ -448,18 +445,24 @@ TEST_F(ServerTest, StatsReadsPagerAndCacheCountersFromTheirOwners) {
   ASSERT_EQ(stats.outcome, Outcome::kOk) << stats.error;
 
   // Every request has finished, so the owners still hold what STATS read.
+  // The whole "engine" object is pinned: a dropped or stray key fails.
   const PageSourceStats pages = engine.table()->page_source()->stats();
-  const PatternCache::Stats cached = cache.stats();
+  const RunStats& run = engine.run_stats();
   EXPECT_GT(pages.misses, 0);
   EXPECT_GT(pages.evictions, 0);
-  EXPECT_EQ(cached.hits, 1);
-  EXPECT_EQ(cached.misses, 1);
-  const std::string expected =
-      CounterJson("cache_hits", cached.hits) + CounterJson("cache_misses", cached.misses) +
+  std::string engine_json =
+      CounterJson("patterns_mined", static_cast<int64_t>(engine.patterns().size())) +
       CounterJson("page_hits", pages.hits) + CounterJson("page_misses", pages.misses) +
       CounterJson("page_evictions", pages.evictions) +
-      CounterJson("page_bytes_pinned", pages.bytes_pinned);
-  EXPECT_NE(stats.payload_json.find(expected), std::string::npos) << stats.payload_json;
+      CounterJson("page_bytes_pinned", pages.bytes_pinned) +
+      CounterJson("maint_appends", run.maint_appends) +
+      CounterJson("maint_rows_appended", run.maint_rows_appended) +
+      CounterJson("maint_patterns_revalidated", run.maint_patterns_revalidated) +
+      CounterJson("maint_patterns_retained", run.maint_patterns_retained) +
+      CounterJson("maint_full_remines", run.maint_full_remines);
+  engine_json.back() = '}';  // CounterJson ends each entry with a comma
+  const std::string expected = "{\"engine\":{" + engine_json + ",\"scheduler\":";
+  EXPECT_EQ(stats.payload_json.substr(0, expected.size()), expected) << stats.payload_json;
   std::remove(path.c_str());
 }
 
@@ -516,14 +519,14 @@ TEST_F(ServerTest, AppendGrowsTableAndRevalidatesPatterns) {
   EXPECT_EQ(harness.Call(PlantedExplainLine("[id=2]")).outcome, Outcome::kOk);
 }
 
-TEST_F(ServerTest, TruncatedAppendStillDropsPooledSessions) {
+TEST_F(ServerTest, ExplainAfterTruncatedAppendAnswersOverTheGrownTable) {
   Engine engine = MakeAppendEngine();
   const int64_t before = engine.table()->num_rows();
   ServerOptions options;
   options.num_workers = 1;
   options.mutable_engine = &engine;
   ServerHarness harness(&engine, options);
-  // Pools a session whose γ memo covers the table as it is now.
+  // Fills the engine's γ memo over the table as it is now.
   ASSERT_EQ(harness.Call(PlantedExplainLine("[id=1]")).outcome, Outcome::kOk);
 
   // A cancelled maintenance run: the row lands, the patterns stay stale,
@@ -535,8 +538,8 @@ TEST_F(ServerTest, TruncatedAppendStillDropsPooledSessions) {
   EXPECT_EQ(truncated.outcome, Outcome::kTruncated) << truncated.error;
   EXPECT_EQ(engine.table()->num_rows(), before + 1);
 
-  // The pooled session predates the append and would refuse the grown
-  // table; the scheduler must have replaced it.
+  // A session over the pre-append memo would refuse the grown table; the
+  // request's own session reads the engine's new memo.
   Response explained = harness.Call(PlantedExplainLine("[id=3]"));
   EXPECT_EQ(explained.outcome, Outcome::kOk) << explained.error;
 }

@@ -186,132 +186,5 @@ TEST(TableTest, MakeEmptyTableHelper) {
   EXPECT_EQ(t->num_columns(), 1);
 }
 
-/// Fingerprint is the content hash that keys the pattern serving cache: any
-/// visible change to schema or data must move it, and equal content must
-/// reproduce it (across separately built instances).
-
-TEST(TableTest, FingerprintIsReproducibleForEqualContent) {
-  Table a(PubSchema());
-  Table b(PubSchema());  // equal schema, different shared_ptr
-  for (Table* t : {&a, &b}) {
-    ASSERT_TRUE(t->AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-    ASSERT_TRUE(t->AppendRow({Value::String("B"), Value::Int64(2), Value::Null()}).ok());
-  }
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
-  EXPECT_EQ(a.Fingerprint(), a.Fingerprint());  // stable across calls
-}
-
-TEST(TableTest, FingerprintChangesWithData) {
-  Table base(PubSchema());
-  ASSERT_TRUE(base.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  const uint64_t fp = base.Fingerprint();
-
-  // Appending a row moves it.
-  Table more(PubSchema());
-  ASSERT_TRUE(more.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  ASSERT_TRUE(more.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  EXPECT_NE(more.Fingerprint(), fp);
-
-  // A single changed cell moves it.
-  Table cell(PubSchema());
-  ASSERT_TRUE(cell.AppendRow({Value::String("A"), Value::Int64(2), Value::Double(0.5)}).ok());
-  EXPECT_NE(cell.Fingerprint(), fp);
-
-  // NULL vs a present value moves it (null bitmaps are hashed).
-  Table with_null(PubSchema());
-  ASSERT_TRUE(with_null.AppendRow({Value::String("A"), Value::Int64(1), Value::Null()}).ok());
-  EXPECT_NE(with_null.Fingerprint(), fp);
-
-  // A dictionary-only difference (same codes, different string) moves it.
-  Table other_string(PubSchema());
-  ASSERT_TRUE(
-      other_string.AppendRow({Value::String("B"), Value::Int64(1), Value::Double(0.5)}).ok());
-  EXPECT_NE(other_string.Fingerprint(), fp);
-}
-
-TEST(TableTest, FingerprintChangesWithSchema) {
-  Table a(PubSchema());
-  Table renamed(Schema::Make({Field{"writer", DataType::kString, false},
-                              Field{"year", DataType::kInt64, false},
-                              Field{"score", DataType::kDouble, true}}));
-  EXPECT_NE(a.Fingerprint(), renamed.Fingerprint());  // even while both empty
-}
-
-/// The fingerprint is maintained as an incremental chain: Fingerprint() after
-/// an append extends the cached per-column states over just the delta rows,
-/// and the result must be indistinguishable from hashing the whole table
-/// fresh. This is what lets Engine::AppendAndRemine key the serving cache in
-/// O(delta) instead of O(n) per append.
-
-TEST(TableTest, FingerprintExtendsIncrementallyAcrossAppends) {
-  Table grown(PubSchema());
-  ASSERT_TRUE(grown.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  (void)grown.Fingerprint();  // seed the chain at 1 row
-  ASSERT_TRUE(grown.AppendRow({Value::String("B"), Value::Int64(2), Value::Null()}).ok());
-  ASSERT_TRUE(grown.AppendRow({Value::String("C"), Value::Int64(3), Value::Double(-0.0)}).ok());
-
-  // Fresh-load twin: same rows, no intermediate Fingerprint() calls — its
-  // first hash covers all rows at once.
-  Table fresh(PubSchema());
-  ASSERT_TRUE(fresh.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  ASSERT_TRUE(fresh.AppendRow({Value::String("B"), Value::Int64(2), Value::Null()}).ok());
-  ASSERT_TRUE(fresh.AppendRow({Value::String("C"), Value::Int64(3), Value::Double(-0.0)}).ok());
-  EXPECT_EQ(grown.Fingerprint(), fresh.Fingerprint());
-
-  // Chain keeps extending: hash, append, hash again.
-  ASSERT_TRUE(grown.AppendRow({Value::String("D"), Value::Int64(4), Value::Double(7.0)}).ok());
-  ASSERT_TRUE(fresh.AppendRow({Value::String("D"), Value::Int64(4), Value::Double(7.0)}).ok());
-  EXPECT_EQ(grown.Fingerprint(), fresh.Fingerprint());
-}
-
-TEST(TableTest, FingerprintCacheInvalidatedByMutableColumnAccess) {
-  Table table(PubSchema());
-  ASSERT_TRUE(table.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  ASSERT_TRUE(table.AppendRow({Value::String("B"), Value::Int64(2), Value::Double(1.5)}).ok());
-  const uint64_t chained = table.Fingerprint();
-
-  // mutable_column() hands out a writable alias the chain cannot see
-  // through, so it must drop the cached states. The forced from-scratch
-  // rehash of unchanged content has to land on the very same digest the
-  // incremental chain produced — otherwise chained and cold fingerprints
-  // would key different cache entries for identical tables.
-  (void)table.mutable_column(1);
-  EXPECT_EQ(table.Fingerprint(), chained);
-
-  // The rebuilt chain keeps extending correctly after the invalidation.
-  (void)table.mutable_column(0);
-  ASSERT_TRUE(table.AppendRow({Value::String("C"), Value::Int64(3), Value::Null()}).ok());
-  Table twin(PubSchema());
-  ASSERT_TRUE(twin.AppendRow({Value::String("A"), Value::Int64(1), Value::Double(0.5)}).ok());
-  ASSERT_TRUE(twin.AppendRow({Value::String("B"), Value::Int64(2), Value::Double(1.5)}).ok());
-  ASSERT_TRUE(twin.AppendRow({Value::String("C"), Value::Int64(3), Value::Null()}).ok());
-  EXPECT_EQ(table.Fingerprint(), twin.Fingerprint());
-}
-
-TEST(TableTest, FingerprintIncrementalMatchesBulkAppend) {
-  // Row-at-a-time appends interleaved with Fingerprint() calls vs one
-  // AppendRowsFrom bulk copy: same content, same fingerprint.
-  Table source(PubSchema());
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(source
-                    .AppendRow({Value::String("s" + std::to_string(i % 3)),
-                                Value::Int64(i), i % 4 == 0 ? Value::Null()
-                                                            : Value::Double(i * 0.25)})
-                    .ok());
-  }
-
-  Table incremental(PubSchema());
-  for (int64_t i = 0; i < source.num_rows(); ++i) {
-    ASSERT_TRUE(incremental.AppendRow(source.GetRow(i)).ok());
-    (void)incremental.Fingerprint();  // force a chain extension every row
-  }
-
-  std::vector<int64_t> all_rows(static_cast<size_t>(source.num_rows()));
-  for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = static_cast<int64_t>(i);
-  Table bulk(PubSchema());
-  ASSERT_TRUE(bulk.AppendRowsFrom(source, all_rows).ok());
-  EXPECT_EQ(incremental.Fingerprint(), bulk.Fingerprint());
-}
-
 }  // namespace
 }  // namespace cape
