@@ -30,6 +30,7 @@ Status Engine::MinePatterns(const std::string& miner_name) {
   CAPE_ASSIGN_OR_RETURN(auto miner, MakeMinerByName(miner_name));
   CAPE_ASSIGN_OR_RETURN(MiningResult result, miner->Mine(*table_, mining_config_));
   patterns_ = std::make_shared<const PatternSet>(std::move(result.patterns));
+  patterns_truncated_ = result.truncated;
   mining_profile_ = result.profile;
   run_stats_.mine_truncated = result.truncated;
   run_stats_.mine_stop_reason = result.stop_reason;
@@ -82,6 +83,7 @@ Status Engine::MaintainIncrementally(uint64_t config_digest) {
                           PatternMaintainer::Build(table_, mining_config_, &stop));
   }
   patterns_ = std::make_shared<const PatternSet>(maintainer_->Finalize());
+  patterns_truncated_ = false;
 
   const MaintenanceStats& after = maintainer_->stats();
   const int64_t revalidated = after.candidates_revalidated - revalidated_before;
@@ -94,24 +96,32 @@ Status Engine::MaintainIncrementally(uint64_t config_digest) {
   return Status::OK();
 }
 
-Status Engine::SavePatterns(const std::string& path) const {
+Status Engine::CheckSavable() const {
   if (patterns_ == nullptr) {
     return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
   }
+  if (patterns_truncated_) {
+    return Status::InvalidArgument(
+        "the pattern set came from a mine that stopped early; a saved copy would "
+        "load as the full set");
+  }
+  return Status::OK();
+}
+
+Status Engine::SavePatterns(const std::string& path) const {
+  CAPE_RETURN_IF_ERROR(CheckSavable());
   return SavePatternSet(*patterns_, schema(), path);
 }
 
 Status Engine::SavePatternsBinary(const std::string& path) const {
-  if (patterns_ == nullptr) {
-    return Status::InvalidArgument("no patterns mined; call MinePatterns() first");
-  }
+  CAPE_RETURN_IF_ERROR(CheckSavable());
   return SavePatternSetBinary(*patterns_, schema(), path,
                               MiningConfigDigest(mining_config_));
 }
 
 Status Engine::LoadPatterns(const std::string& path) {
   CAPE_ASSIGN_OR_RETURN(PatternSet loaded, LoadPatternSet(path, schema()));
-  patterns_ = std::make_shared<const PatternSet>(std::move(loaded));
+  SetPatterns(std::move(loaded));
   return Status::OK();
 }
 

@@ -34,7 +34,7 @@ struct RunStats {
   // keys; `maint_patterns_retained` counts local patterns carried into the
   // new set verbatim, without any re-fit — the incremental win.
   // `maint_full_remines` counts calls that fell back to a from-scratch mine
-  // (unsupported config, NaN data, or an injected/real maintenance fault).
+  // (unsupported config or an injected/real maintenance fault).
   int64_t maint_appends = 0;
   int64_t maint_rows_appended = 0;
   int64_t maint_patterns_revalidated = 0;
@@ -111,14 +111,14 @@ class Engine {
   /// rows touch, and the result is byte-identical to re-mining the grown
   /// table from scratch. Falls back to a full re-mine — counted in
   /// run_stats().maint_full_remines — when the config is not maintainable
-  /// (FD optimizations), the data defeats byte-stable fragment
-  /// identity (NaN), no patterns were mined yet, or maintenance itself
-  /// fails. On a deadline/cancellation stop the rows stay appended, the
-  /// stop Status is returned, and the maintainer remains valid at its
-  /// previous fold point: the pattern set is stale but intact, and the next
-  /// call catches up. All rows are validated against the schema before any
-  /// is appended. Non-const like MinePatterns: callers must serialize this
-  /// against the const serving surface (the server's APPEND verb does).
+  /// (FD optimizations, paged tables), no patterns were mined yet, or
+  /// maintenance itself fails. On a deadline/cancellation stop the rows
+  /// stay appended, the stop Status is returned, and the maintainer remains
+  /// valid at its previous fold point: the pattern set is stale but intact,
+  /// and the next call catches up. All rows are validated against the
+  /// schema before any is appended. Non-const like MinePatterns: callers
+  /// must serialize this against the const serving surface (the server's
+  /// APPEND verb does).
   Status AppendAndRemine(const std::vector<Row>& rows,
                          const std::string& miner_name = "ARP-MINE");
 
@@ -126,6 +126,7 @@ class Engine {
   /// to vary N_P).
   void SetPatterns(PatternSet patterns) {
     patterns_ = std::make_shared<const PatternSet>(std::move(patterns));
+    patterns_truncated_ = false;
   }
 
   /// Persists the mined patterns (offline phase) / restores them (online
@@ -133,7 +134,11 @@ class Engine {
   /// instead of mining. SavePatterns writes the human-readable text form;
   /// SavePatternsBinary writes the binary store (with this engine's
   /// mining-config digest). LoadPatterns sniffs the format and validates the
-  /// embedded schema.
+  /// embedded schema. Neither store marks a cut-short set, so both saves
+  /// refuse (InvalidArgument, leaving any file at `path` untouched) a set
+  /// from a mine that a deadline or cancellation truncated: loaded, it would
+  /// pass for the full set. A set installed later by a complete mine,
+  /// AppendAndRemine, SetPatterns or LoadPatterns saves as usual.
   Status SavePatterns(const std::string& path) const;
   Status SavePatternsBinary(const std::string& path) const;
   Status LoadPatterns(const std::string& path);
@@ -180,11 +185,16 @@ class Engine {
   /// the current config, absorb the delta, and publish the finalized set.
   Status MaintainIncrementally(uint64_t config_digest);
 
+  /// OK when patterns_ exists and came from no truncated mine.
+  Status CheckSavable() const;
+
   TablePtr table_;
   MiningConfig mining_config_;
   ExplainConfig explain_config_;
   DistanceModel distance_model_;
   std::shared_ptr<const PatternSet> patterns_;
+  /// patterns_ came from a mine that stopped early; saving it is refused.
+  bool patterns_truncated_ = false;
   MiningProfile mining_profile_;
   /// Lazily built by AppendAndRemine; reset when the mining config digest
   /// diverges or maintenance degrades to a full re-mine.

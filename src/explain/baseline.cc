@@ -52,8 +52,9 @@ Result<ExplainResult> BaselineExplain(const UserQuestion& q,
     if (values == q.group_values) continue;  // t' != t
     const double y = data->column(agg_col).GetNumeric(row);
     const double dev = y - avg;
-    // Counterbalance: deviation from the average in the opposite direction.
-    if (q.dir == Direction::kLow ? dev <= 0.0 : dev >= 0.0) continue;
+    // Counterbalance: deviation from the average in the opposite direction,
+    // a strict test that a NaN deviation fails.
+    if (!(q.dir == Direction::kLow ? dev > 0.0 : dev < 0.0)) continue;
 
     Explanation e;
     e.tuple_attrs = q.group_attrs;

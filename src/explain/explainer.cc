@@ -170,9 +170,8 @@ Result<double> ScanNorm(const UserQuestion& q, const Pattern& p, StopToken* stop
 /// building that table on first use. That group sums exactly the rows σ
 /// selects, in ascending row order, through the same aggregate state, so
 /// both give the same bits, and no group means an empty selection, whose
-/// NORM is 0. σ on the γ table selects more than one group only around NaN
-/// cells: NaN compares equal to every value, yet γ keys it as a group of
-/// its own. The scan then decides.
+/// NORM is 0. γ keys and σ compare cells under one rule (value.h), so σ on
+/// the γ table selects at most one group.
 Result<double> ComputeNorm(const UserQuestion& q, const Pattern& p, AggDataCache* memo,
                            StopToken* stop) {
   CAPE_FAILPOINT("explain.norm");
@@ -185,7 +184,6 @@ Result<double> ComputeNorm(const UserQuestion& q, const Pattern& p, AggDataCache
   std::vector<int64_t> groups;
   CAPE_RETURN_IF_ERROR(FilterEqualsSel(*data, conditions, stop, &groups));
   if (groups.empty()) return 0.0;
-  if (groups.size() > 1) return ScanNorm(q, p, stop);
   const Value v = data->GetValue(groups[0], static_cast<int>(conditions.size()));
   return v.is_null() ? 0.0 : v.AsDouble();
 }
@@ -279,19 +277,6 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   const double norm_denominator = std::fabs(norm) + config.epsilon;
   const double distance_lb = distance_model.LowerBound(q.group_attrs, attrs);
 
-  std::vector<std::pair<int, Value>> t_conditions;
-  if (same_schema) {
-    t_conditions.reserve(attr_list.size());
-    for (size_t i = 0; i < attr_list.size(); ++i) {
-      t_conditions.emplace_back(static_cast<int>(i), q.group_values[i]);
-    }
-  }
-  // Condition (4)'s t' != t check, compiled once per (P, P') pair: string
-  // condition values translate to dictionary codes here, so the per-row
-  // check below is integer compares instead of boxed Value comparisons.
-  const RowEqualityMatcher t_matcher(*data, t_conditions);
-  const bool check_same_tuple = same_schema && !t_matcher.never_matches();
-
   // Predictor columns feed the local model's X vector; non-numeric predictors
   // contribute a 0.0 placeholder (the constant model ignores X, and that is
   // the only model fitted over string predictors).
@@ -302,11 +287,9 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
   }
 
   std::string fragment_key;  // reused across rows; same bytes as EncodeRowKey
-  // Conditions (3) and (5) plus candidate emission for one row that already
-  // passed condition (4)'s F-match.
+  // Conditions (3), (5) and the rest of (4) plus candidate emission for one
+  // row that already passed condition (4)'s F-match.
   auto score_row = [&](int64_t row) {
-    // Condition (4): t' != t when over the same schema.
-    if (check_same_tuple && t_matcher.Matches(row)) return;
     if (data->column(agg_col).IsNull(row)) return;
 
     // Condition (3): P' holds locally on t'[F'].
@@ -321,7 +304,8 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
       if (local_bound < floor->Get()) return;
     }
 
-    // Condition (5): deviation in the opposite direction.
+    // Condition (5): deviation in the opposite direction, a strict test that
+    // a NaN aggregate or prediction fails.
     std::vector<double> x;
     x.reserve(v_positions.size());
     for (size_t i = 0; i < v_positions.size(); ++i) {
@@ -329,7 +313,7 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
     }
     const double predicted = local->model->Predict(x);
     const double y = data->column(agg_col).GetNumeric(row);
-    if (q.dir == Direction::kLow ? y <= predicted : y >= predicted) return;
+    if (!(q.dir == Direction::kLow ? y > predicted : y < predicted)) return;
 
     Explanation e;
     e.relevant_pattern = p;
@@ -339,6 +323,8 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
     for (size_t i = 0; i < attr_list.size(); ++i) {
       e.tuple_values.push_back(data->GetValue(row, static_cast<int>(i)));
     }
+    // Condition (4): t' != t when over the same schema.
+    if (same_schema && e.tuple_values == q.group_values) return;
     e.agg_value = y;
     e.predicted = predicted;
     e.deviation = y - predicted;
@@ -408,6 +394,7 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
       return norm_result.status();
     }
     const double norm = norm_result.ValueOrDie();
+    if (std::isnan(norm)) continue;  // no score against a NaN NORM is a number
     const double norm_denominator = std::fabs(norm) + config.epsilon;
     auto add_pair = [&](const GlobalPattern& pp) {
       result.profile.num_refinement_pairs += 1;

@@ -69,7 +69,7 @@ Result<std::vector<CandidateQuestion>> FindCandidateQuestions(
       const double value = data->column(agg_col).GetNumeric(row);
       const double deviation = value - predicted;
       const double outlierness = std::fabs(deviation) / (std::fabs(predicted) + 1.0);
-      if (outlierness < options.min_outlierness) continue;
+      if (!(outlierness >= options.min_outlierness)) continue;  // NaN fails too
 
       Hit hit;
       hit.pattern = p;

@@ -1,7 +1,6 @@
 #include "pattern/incremental.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <iterator>
 #include <optional>
@@ -31,7 +30,7 @@ struct CandidateSlot {
 
 /// One (F, V) split of an attribute set G. `buckets` partitions the G-group
 /// ids by fragment key (the F cells of their group keys), each bucket stored
-/// in the split's cell order — V values ascending under Value ordering,
+/// in the split's cell order — V values ascending under Column::CompareRows,
 /// group id (= discovery order) as the stable tie-break — which is exactly
 /// the fragment row order EvaluateSplit sees after SortTable.
 struct SplitState {
@@ -73,7 +72,6 @@ struct PatternMaintainer::Rep {
   TablePtr table;
   MiningConfig config;
   uint64_t config_digest = 0;
-  std::vector<int> nan_guard_cols;  // eligible double columns
   std::vector<GroupSetState> group_sets;
   int64_t rows_folded = 0;
   MaintenanceStats stats;
@@ -99,9 +97,10 @@ struct PatternMaintainer::Rep {
 
 /// Rebuilds one fragment's regression inputs exactly as EvaluateSplit would
 /// see them in the sorted aggregated table, and re-runs FitFragmentCandidate
-/// per candidate. Cells order by (V values under Value ordering, then group
-/// id): SortTable is stable and aggregated rows appear in group discovery
-/// order, so the id tie-break reproduces its row order byte-for-byte.
+/// per candidate. Cells order by (V values under Column::CompareRows, then
+/// group id): SortTable is stable and aggregated rows appear in group
+/// discovery order, so the id tie-break reproduces its row order
+/// byte-for-byte.
 /// Committed buckets already store that order, so only the staged-new
 /// groups sort and merge in; a fragment dirtied by existing groups alone
 /// reuses the stored order untouched. `merged_out` receives the full
@@ -116,40 +115,14 @@ Status PatternMaintainer::Rep::RefitFragment(
   const IncrementalGroupBy& groups = *gs.groups;
   const size_t nv = split.v_base.size();
 
-  // Cell comparator reading base-table cells directly: within a column all
-  // non-null values share one type, so these typed compares agree exactly
-  // with Value::Compare (NaN is excluded by the Absorb guard).
+  // Cells order by SortTable's cell comparator over their representative
+  // base rows, then by group id.
   auto cell_less = [&](int64_t ga, int64_t gb) {
     const int64_t ra = groups.RepresentativeRow(ga);
     const int64_t rb = groups.RepresentativeRow(gb);
-    for (size_t v = 0; v < nv; ++v) {
-      const Column& c = base.column(split.v_base[v]);
-      const bool null_a = c.IsNull(ra);
-      const bool null_b = c.IsNull(rb);
-      if (null_a || null_b) {
-        if (null_a != null_b) return null_a;  // NULL < non-NULL
-        continue;                             // NULL == NULL
-      }
-      switch (c.type()) {
-        case DataType::kInt64: {
-          const int64_t a = c.GetInt64(ra);
-          const int64_t b = c.GetInt64(rb);
-          if (a != b) return a < b;
-          break;
-        }
-        case DataType::kDouble: {
-          const double a = c.GetDouble(ra);
-          const double b = c.GetDouble(rb);
-          if (a < b) return true;
-          if (b < a) return false;
-          break;
-        }
-        case DataType::kString: {
-          const int cmp = c.GetString(ra).compare(c.GetString(rb));
-          if (cmp != 0) return cmp < 0;
-          break;
-        }
-      }
+    for (int v : split.v_base) {
+      const int cmp = base.column(v).CompareRows(ra, rb);
+      if (cmp != 0) return cmp < 0;
     }
     return ga < gb;
   };
@@ -326,10 +299,6 @@ Result<std::unique_ptr<PatternMaintainer>> PatternMaintainer::Build(
   rep->config = config;
   rep->config_digest = MiningConfigDigest(config);
   const Schema& schema = *table->schema();
-  const AttrSet allowed = mining_internal::AllowedAttrs(schema, config);
-  for (int a : allowed.ToIndices()) {
-    if (schema.field(a).type == DataType::kDouble) rep->nan_guard_cols.push_back(a);
-  }
 
   CAPE_ASSIGN_OR_RETURN(const std::vector<AttrSet> group_sets,
                         mining_internal::EnumerateGroupSets(schema, config));
@@ -406,23 +375,6 @@ Status PatternMaintainer::Absorb(StopToken* stop) {
         std::to_string(end_row) + " rows; rebuild the maintainer");
   }
   if (end_row == rep.rows_folded) return Status::OK();
-
-  // NaN in an eligible double attribute breaks byte-stable fragment identity
-  // (NaN compares equal to every number under Value ordering); hand the
-  // whole table back to the from-scratch path.
-  for (int col : rep.nan_guard_cols) {
-    const Column& c = rep.table->column(col);
-    for (int64_t row = rep.rows_folded; row < end_row; ++row) {
-      if ((row & (kStopCheckStride - 1)) == 0) CAPE_RETURN_IF_STOPPED_BLOCK(stop);
-      if (!c.IsNull(row) && std::isnan(c.GetDouble(row))) {
-        return Status::NotImplemented(
-            "NaN in attribute '" + rep.table->schema()->field(col).name +
-            "' row " + std::to_string(row) +
-            ": incremental maintenance cannot order NaN fragments; re-mine from "
-            "scratch");
-      }
-    }
-  }
 
   std::vector<FragmentDelta> pending;
   Status staged = rep.StageDelta(end_row, stop, &pending);

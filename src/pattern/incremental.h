@@ -50,9 +50,9 @@ struct MaintenanceStats {
 /// schedules, storage, and thread counts). The equivalence holds
 /// because every ingredient reuses the exact batch code path: group states
 /// extend the committed AggState fold sequentially (never merging partial
-/// sums), fragment cells sort by the same Value ordering SortTable uses, and
-/// re-validation calls mining_internal::FitFragmentCandidate on identically
-/// constructed vectors.
+/// sums), fragment cells sort by SortTable's cell comparator
+/// (Column::CompareRows), and re-validation calls
+/// mining_internal::FitFragmentCandidate on identically constructed vectors.
 ///
 /// Absorb is transactional: on stop, error, or an injected
 /// "incremental.merge" fault, all staged work is discarded and the
@@ -62,9 +62,8 @@ struct MaintenanceStats {
 ///
 /// Unsupported configurations are rejected at Build with Unimplemented:
 /// paged (non-resident) tables and use_fd_optimizations (FD skips change
-/// the candidate space). Tables containing NaN in an eligible double attribute are
-/// rejected the same way — NaN compares equal to every number under Value
-/// ordering, so fragment identity would not be byte-stable.
+/// the candidate space). NaN and -0.0 cells need no special case: keys,
+/// equality and order follow one rule (value.h), as in the miners.
 ///
 /// Not thread-safe; the table must outlive the maintainer and must only grow
 /// via appends between calls.

@@ -1,7 +1,6 @@
 #include "pattern/pattern_set.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/string_util.h"
 
@@ -18,8 +17,7 @@ std::string EncodeRowKey(const Row& row) {
       // Widen to double so Int64(2) and Double(2.0) agree, matching
       // Value::operator==.
       key.push_back('n');
-      double d = v.AsDouble();
-      if (d == 0.0) d = 0.0;
+      const double d = CanonicalDouble(v.AsDouble());
       key.append(reinterpret_cast<const char*>(&d), sizeof(d));
     } else {
       key.push_back('s');
@@ -48,8 +46,7 @@ void AppendTableRowKey(const Table& t, int64_t row, const std::vector<int>& cols
       key->append(s);
     } else {
       key->push_back('n');
-      double d = col.GetNumeric(row);
-      if (d == 0.0) d = 0.0;  // canonicalize -0.0, as EncodeRowKey does
+      const double d = CanonicalDouble(col.GetNumeric(row));
       key->append(reinterpret_cast<const char*>(&d), sizeof(d));
     }
   }

@@ -14,7 +14,8 @@
 namespace cape {
 
 /// Encodes a tuple of Values as a byte key such that two rows encode equal
-/// iff they are component-wise equal (Value::operator==, numerics widened).
+/// iff they are component-wise equal (Value::operator==: numerics widened
+/// to their CanonicalDouble).
 std::string EncodeRowKey(const Row& row);
 
 /// Appends to `key` the same bytes EncodeRowKey would produce for row `row`

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/macros.h"
@@ -211,26 +210,20 @@ void Column::AppendManyFrom(const ColumnChunk& src, const Column& src_col,
   }
 }
 
-int64_t Column::CountDistinct() const {
+int Column::CompareRows(int64_t a, int64_t b) const {
+  const bool a_null = IsNull(a);
+  const bool b_null = IsNull(b);
+  if (a_null || b_null) return static_cast<int>(!a_null) - static_cast<int>(!b_null);
   switch (type_) {
     case DataType::kInt64: {
-      std::unordered_set<int64_t> seen;
-      for (int64_t i = 0; i < size(); ++i) {
-        if (!IsNull(i)) seen.insert(GetInt64(i));
-      }
-      return static_cast<int64_t>(seen.size());
+      const int64_t x = GetInt64(a);
+      const int64_t y = GetInt64(b);
+      return x < y ? -1 : (x > y ? 1 : 0);
     }
-    case DataType::kDouble: {
-      std::unordered_set<double> seen;
-      for (int64_t i = 0; i < size(); ++i) {
-        if (!IsNull(i)) seen.insert(GetDouble(i));
-      }
-      return static_cast<int64_t>(seen.size());
-    }
+    case DataType::kDouble:
+      return CompareDoubles(GetDouble(a), GetDouble(b));
     case DataType::kString:
-      // The dictionary is append-only and every entry was interned by a
-      // non-null row append, so it *is* the distinct set.
-      return dict_size();
+      return GetString(a).compare(GetString(b));
   }
   return 0;
 }

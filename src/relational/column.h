@@ -34,9 +34,10 @@ struct ColumnChunk {
 /// String columns are dictionary-encoded (DESIGN.md §10): each row stores a
 /// 4-byte code into an interned dictionary, with codes assigned in
 /// first-appearance order. The dictionary is append-only and every entry is
-/// referenced by at least one non-null row, so distinct-count and min/max
-/// reduce to dictionary operations, and the hot group/filter/sort kernels in
-/// operators.cc compare codes instead of heap-resident strings.
+/// referenced by at least one non-null row, so the distinct count
+/// (dict_size()) and min/max reduce to dictionary operations, and the hot
+/// group/filter/sort kernels in operators.cc compare codes instead of
+/// heap-resident strings.
 class Column {
  public:
   /// Code stored for NULL rows of a string column. Valid rows always carry a
@@ -135,9 +136,11 @@ class Column {
   void AppendManyFrom(const ColumnChunk& src, const Column& src_col, const int64_t* rows,
                       int64_t n);
 
-  /// Number of distinct non-null values. O(1) for string columns (the
-  /// dictionary is exactly the distinct set); hash-based O(n) otherwise.
-  int64_t CountDistinct() const;
+  /// Three-way order of rows a and b of this column under Value::Compare,
+  /// read without boxing: NULL first, int64 exactly, doubles by
+  /// CompareDoubles, strings lexicographically. The one cell comparator of
+  /// SortTable and the pattern maintainer.
+  int CompareRows(int64_t a, int64_t b) const;
 
   /// Minimum / maximum as Values; Null when the column is all-null/empty.
   /// String columns scan the dictionary (O(d)) instead of the rows.

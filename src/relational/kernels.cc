@@ -89,13 +89,17 @@ int64_t CountMaskAndValid(const uint8_t* mask, const uint8_t* valid, int n) {
   for (int i = 0; i < n; ++i) tmp[i] = static_cast<uint64_t>(data[i]) ^ w;  // vec-hot
 }
 
-// Value::Compare's exact equality rule !(x<v) && !(x>v) treats NaN as equal
-// to everything and -0.0 as equal to 0.0; a plain == would diverge. Both
-// compares vectorize as SSE2 cmppd selects, leaving tmp[i] == 0.0 exactly
-// when the row matches; the zero test runs in the scalar narrowing pass.
+// Equality under CompareDoubles (value.h): x == v for a number v, which
+// already finds -0.0 equal to 0.0, and x != x for a NaN v. Each compare
+// vectorizes as an SSE2 cmppd select, leaving tmp[i] == 0.0 exactly when
+// the row matches; the zero test runs in the scalar narrowing pass.
 [[gnu::noinline]] void MaskDoubleEq(const double* data, double want, int n,
                                     double* tmp) {
-  for (int i = 0; i < n; ++i) tmp[i] = ((data[i] < want) | (data[i] > want)) ? 1.0 : 0.0;  // vec-hot
+  if (want == want) {
+    for (int i = 0; i < n; ++i) tmp[i] = data[i] == want ? 0.0 : 1.0;  // vec-hot
+  } else {
+    for (int i = 0; i < n; ++i) tmp[i] = data[i] != data[i] ? 0.0 : 1.0;  // vec-hot
+  }
 }
 
 /// Branch-free mask→selection compaction: every slot is written, the cursor
@@ -156,14 +160,14 @@ Status ScanBlocks(const Table& table, StopToken* stop, Fn&& fn) {
 // BlockPredicate.
 
 /// Conjunctive equality predicate compiled once and evaluated a block at a
-/// time into a 0/1 byte mask, with RowEqualityMatcher's semantics (NULL
-/// matches NULL, cross-type numeric equality via Value::Compare's
-/// !(x<v) && !(x>v) rule, string values resolved to dictionary codes,
-/// absent/mismatched values short-circuiting via never_matches()). The
-/// compiled conditions hold for every view of the table — dictionary codes
-/// and never_matches() proofs are table-wide facts (a heap file's
-/// dictionaries are file-global) — so one predicate serves a whole scan.
-/// Column indices must be validated by the caller.
+/// time into a 0/1 byte mask: a cell matches a value when Value::Compare
+/// finds them equal (NULL matches NULL, numerics exactly across
+/// int64/double, doubles by CompareDoubles), with string values resolved to
+/// dictionary codes and values no cell can equal short-circuiting via
+/// never_matches(). The compiled conditions hold for every view of the
+/// table — dictionary codes and never_matches() proofs are table-wide facts
+/// (a heap file's dictionaries are file-global) — so one predicate serves a
+/// whole scan. Column indices must be validated by the caller.
 class BlockPredicate {
  public:
   BlockPredicate(const Table& table, const std::vector<std::pair<int, Value>>& conditions) {
@@ -188,15 +192,30 @@ class BlockPredicate {
       } else if (value.type() == DataType::kString) {
         never_matches_ = true;  // string value vs numeric column: never equal
         return;
-      } else if (col.type() == DataType::kInt64 && value.type() == DataType::kInt64) {
+      } else if (col.type() == DataType::kInt64) {
         cond.kind = Kind::kInt64;
-        cond.i64 = value.int64_value();
-      } else if (col.type() == DataType::kDouble) {
+        if (value.type() == DataType::kInt64) {
+          cond.i64 = value.int64_value();
+        } else {
+          // A double value matches only the int64 it equals exactly: none
+          // for NaN, a fraction or a value outside int64's range.
+          const double v = value.double_value();
+          if (!(v >= -0x1p63 && v < 0x1p63) ||
+              Value::Int64(static_cast<int64_t>(v)).Compare(value) != 0) {
+            never_matches_ = true;
+            return;
+          }
+          cond.i64 = static_cast<int64_t>(v);
+        }
+      } else {
+        // Double column. An int64 value matches only the double it equals
+        // exactly: none beyond 2^53, where the conversion rounds.
         cond.kind = Kind::kDoubleEq;
         cond.f64 = value.AsDouble();
-      } else {
-        cond.kind = Kind::kInt64AsDouble;
-        cond.f64 = value.AsDouble();
+        if (Value::Double(cond.f64).Compare(value) != 0) {
+          never_matches_ = true;
+          return;
+        }
       }
       conds_.push_back(cond);
     }
@@ -221,8 +240,7 @@ class BlockPredicate {
     kNullCode,       // IS NULL on a string column (code < 0)
     kNullValidity,   // IS NULL on a numeric column (validity == 0)
     kInt64,          // exact int64 equality
-    kDoubleEq,       // double column: Value::Compare numeric equality
-    kInt64AsDouble,  // int64 column vs double value (rare; scalar loop)
+    kDoubleEq,       // double column: CompareDoubles equality
   };
   struct Cond {
     int col = 0;
@@ -278,19 +296,6 @@ class BlockPredicate {
         } else {
           const uint8_t* valid = chunk.validity + begin;
           for (int i = 0; i < n; ++i) mask[i] &= static_cast<uint8_t>(tmp.f64[i] == 0.0) & valid[i];
-        }
-        break;
-      }
-      case Kind::kInt64AsDouble: {
-        // int64 column against a double condition value: the int64→double
-        // conversion has no baseline-SSE2 vector form, so this rare shape
-        // stays scalar.
-        const int64_t* data = chunk.i64 + begin;
-        const uint8_t* valid = chunk.validity + begin;
-        const double want = cond.f64;
-        for (int i = 0; i < n; ++i) {
-          const double x = static_cast<double>(data[i]);
-          mask[i] &= static_cast<uint8_t>(valid[i] & !(x < want) & !(x > want));
         }
         break;
       }

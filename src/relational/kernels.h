@@ -33,9 +33,11 @@ static_assert(kKernelBlockSize == kStopCheckStride,
 
 /// σ_{c1=v1 ∧ ...} as a selection vector: appends the ascending row indices
 /// of `table` satisfying `conditions` to *sel (cleared first) without
-/// materializing any table. Conditions compare like RowEqualityMatcher (NULL
-/// matches NULL, cross-type numeric equality by Value::Compare's rule). Stop
-/// checks run at block granularity.
+/// materializing any table. A cell matches a condition value when
+/// Value::Compare finds them equal: NULL matches NULL, numerics compare
+/// exactly across int64/double, and doubles by CompareDoubles, so NaN
+/// matches only NaN and -0.0 matches 0.0. Stop checks run at block
+/// granularity.
 Status FilterEqualsSel(const Table& table,
                        const std::vector<std::pair<int, Value>>& conditions,
                        StopToken* stop, std::vector<int64_t>* sel);

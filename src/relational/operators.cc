@@ -112,8 +112,7 @@ void GroupKeyEncoder::EncodeRow(const ColumnChunk* chunks, int64_t row,
         std::memcpy(cell + 1, &chunk.i64[row], sizeof(int64_t));
         break;
       case DataType::kDouble: {
-        double v = chunk.f64[row];
-        if (v == 0.0) v = 0.0;  // canonicalize -0.0
+        const double v = CanonicalDouble(chunk.f64[row]);
         std::memcpy(cell + 1, &v, sizeof(v));
         break;
       }
@@ -122,70 +121,6 @@ void GroupKeyEncoder::EncodeRow(const ColumnChunk* chunks, int64_t row,
         break;
     }
   }
-}
-
-RowEqualityMatcher::RowEqualityMatcher(const Table& table,
-                                       const std::vector<std::pair<int, Value>>& conditions) {
-  conds_.reserve(conditions.size());
-  for (const auto& [col_idx, value] : conditions) {
-    Cond cond;
-    cond.col = &table.column(col_idx);
-    if (value.is_null()) {
-      cond.kind = Kind::kIsNull;
-    } else if (cond.col->type() == DataType::kString) {
-      if (value.type() != DataType::kString) {
-        // A non-string value never equals a string cell (Value::Compare
-        // orders numerics before strings, never equal).
-        never_matches_ = true;
-        return;
-      }
-      cond.code = cond.col->FindCode(value.string_value());
-      if (cond.code == Column::kNullCode) {
-        never_matches_ = true;  // value absent from dictionary: no row matches
-        return;
-      }
-      cond.kind = Kind::kCode;
-    } else if (value.type() == DataType::kString) {
-      never_matches_ = true;  // string value vs numeric column: never equal
-      return;
-    } else if (cond.col->type() == DataType::kInt64 && value.type() == DataType::kInt64) {
-      cond.kind = Kind::kInt64;
-      cond.i64 = value.int64_value();
-    } else {
-      // Mixed numeric comparison goes through double, with Value::Compare's
-      // exact rule (see kDoubleEq in Matches).
-      cond.kind = Kind::kDoubleEq;
-      cond.f64 = value.AsDouble();
-    }
-    conds_.push_back(cond);
-  }
-}
-
-bool RowEqualityMatcher::Matches(int64_t row) const {
-  for (const Cond& cond : conds_) {
-    switch (cond.kind) {
-      case Kind::kIsNull:
-        if (!cond.col->IsNull(row)) return false;
-        break;
-      case Kind::kCode:
-        // kNullCode (-1) never equals a real code, so no separate null check.
-        if (cond.col->GetCode(row) != cond.code) return false;
-        break;
-      case Kind::kInt64:
-        if (cond.col->IsNull(row) || cond.col->GetInt64(row) != cond.i64) return false;
-        break;
-      case Kind::kDoubleEq: {
-        if (cond.col->IsNull(row)) return false;
-        const double x = cond.col->GetNumeric(row);
-        // Replicates Value::Compare exactly: (x<v)?-1:((x>v)?1:0) == 0, which
-        // treats NaN as equal to everything and -0.0 as equal to 0.0. A plain
-        // x == v would diverge on NaN.
-        if (x < cond.f64 || x > cond.f64) return false;
-        break;
-      }
-    }
-  }
-  return true;
 }
 
 Result<TablePtr> GroupByAggregate(const Table& table, const std::vector<int>& group_cols,
@@ -266,33 +201,6 @@ Result<TablePtr> ProjectDistinct(const Table& table, const std::vector<int>& col
   return out;
 }
 
-namespace {
-
-/// Typed row comparison on one numeric column, NULL-first, no Value boxing.
-/// (String keys compare as dictionary ranks in SortTable.)
-int CompareCells(const Column& col, int64_t a, int64_t b) {
-  const bool a_null = col.IsNull(a);
-  const bool b_null = col.IsNull(b);
-  if (a_null || b_null) return static_cast<int>(!a_null) - static_cast<int>(!b_null);
-  switch (col.type()) {
-    case DataType::kInt64: {
-      const int64_t x = col.GetInt64(a);
-      const int64_t y = col.GetInt64(b);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kDouble: {
-      const double x = col.GetDouble(a);
-      const double y = col.GetDouble(b);
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    case DataType::kString:
-      break;
-  }
-  return 0;
-}
-
-}  // namespace
-
 Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
                            StopToken* stop) {
   for (const SortKey& k : keys) CAPE_RETURN_IF_ERROR(ValidateColumnIndex(table, k.col));
@@ -329,7 +237,7 @@ Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
           cmp = ra < rb ? -1 : (ra > rb ? 1 : 0);
         }
       } else {
-        cmp = CompareCells(col, a, b);
+        cmp = col.CompareRows(a, b);
       }
       if (cmp != 0) return k.ascending ? cmp < 0 : cmp > 0;
     }

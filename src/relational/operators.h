@@ -100,11 +100,13 @@ struct SortKey {
   bool ascending = true;
 };
 
-/// Stable multi-key sort; returns a new materialized table. String keys
-/// compare as sorted-dictionary ranks. The comparison phase is not
-/// interruptible (std::stable_sort); the stop token is checked before and
-/// after it. Resident tables only (the engine sorts small aggregated
-/// results, never base relations); NotImplemented otherwise.
+/// Stable multi-key sort; returns a new materialized table. Cells order by
+/// Column::CompareRows (so NaN sorts after every number); string keys
+/// compare as sorted-dictionary ranks, which order as the strings do. The
+/// comparison phase is not interruptible (std::stable_sort); the stop token
+/// is checked before and after it. Resident tables only (the engine sorts
+/// small aggregated results, never base relations); NotImplemented
+/// otherwise.
 Result<TablePtr> SortTable(const Table& table, const std::vector<SortKey>& keys,
                            StopToken* stop = nullptr);
 
@@ -133,8 +135,9 @@ Result<TablePtr> Cube(const Table& table, const std::vector<int>& cube_cols,
 
 /// Encodes a row's projection onto `cols` into a byte string such that two
 /// rows of the same table encode equal iff their projections are equal
-/// (value- and null-aware; -0.0 canonicalizes to 0.0, NaN keys compare by
-/// bit pattern). Each column contributes one cell: a flag byte (0x00 for
+/// under Value::Compare (null-aware; a double cell stores its
+/// CanonicalDouble, so -0.0 keys as 0.0 and every NaN as one NaN). Each
+/// column contributes one cell: a flag byte (0x00 for
 /// NULL, 0x01 otherwise) and a payload whose width the column type fixes —
 /// 8-byte int64/double, 4-byte dictionary code — zero-filled for NULL. So
 /// every key of one encoder has the same width and cell k sits at the same
@@ -232,48 +235,6 @@ class IncrementalGroupBy {
   struct Impl;
   explicit IncrementalGroupBy(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
-};
-
-/// Conjunctive equality predicate over the rows of a resident table,
-/// compiled once per condition set: string condition values are translated
-/// to dictionary codes (one hash lookup per condition, not per row) and
-/// numeric values to unboxed comparisons, so Matches() is pure
-/// integer/double compares. Semantics are exactly those of
-/// `table.GetValue(row, col) == value` per condition (NULL matches NULL,
-/// cross-type numeric equality, NaN quirks included). The scan kernels
-/// evaluate the same predicates a block at a time (kernels.cc); this is the
-/// one-row form for callers that test single rows.
-///
-/// Holds a pointer into `table`; must not outlive it. Column indices must be
-/// validated by the caller.
-class RowEqualityMatcher {
- public:
-  RowEqualityMatcher(const Table& table, const std::vector<std::pair<int, Value>>& conditions);
-
-  /// True when no row can possibly satisfy the conditions (a string value
-  /// absent from the column's dictionary, or a type-mismatched value).
-  /// Callers short-circuit to an empty result without scanning.
-  bool never_matches() const { return never_matches_; }
-
-  bool Matches(int64_t row) const;
-
- private:
-  enum class Kind : uint8_t {
-    kIsNull,    // condition value is NULL: row must be NULL
-    kInt64,     // exact int64 equality
-    kDoubleEq,  // numeric equality via !(x<v) && !(x>v) (Value::Compare's rule)
-    kCode,      // string column: dictionary code equality
-  };
-  struct Cond {
-    const Column* col = nullptr;
-    Kind kind = Kind::kIsNull;
-    int64_t i64 = 0;
-    double f64 = 0.0;
-    int32_t code = 0;
-  };
-
-  std::vector<Cond> conds_;
-  bool never_matches_ = false;
 };
 
 }  // namespace cape

@@ -1,7 +1,5 @@
 #include "relational/value.h"
 
-#include <cstring>
-
 #include "common/string_util.h"
 
 namespace cape {
@@ -31,6 +29,21 @@ std::string Value::ToString() const {
   return "?";
 }
 
+namespace {
+
+/// Exact order of an int64 and a double: NaN above every int64, and no
+/// rounding of the int64 (2^53 + 1 is above the double 2^53).
+int CompareInt64Double(int64_t a, double b) {
+  if (b != b || b >= 9223372036854775808.0) return -1;
+  if (b < -9223372036854775808.0) return 1;
+  const auto whole = static_cast<int64_t>(b);  // exact: |b| < 2^63, truncated
+  if (a != whole) return a < whole ? -1 : 1;
+  const double fraction = b - static_cast<double>(whole);
+  return fraction > 0.0 ? -1 : (fraction < 0.0 ? 1 : 0);
+}
+
+}  // namespace
+
 int Value::Compare(const Value& other) const {
   const bool a_null = is_null();
   const bool b_null = other.is_null();
@@ -41,33 +54,21 @@ int Value::Compare(const Value& other) const {
   const bool a_num = is_numeric();
   const bool b_num = other.is_numeric();
   if (a_num && b_num) {
-    // Compare exactly when both are int64 to avoid double rounding.
-    if (type() == DataType::kInt64 && other.type() == DataType::kInt64) {
+    const bool a_int = type() == DataType::kInt64;
+    const bool b_int = other.type() == DataType::kInt64;
+    if (a_int && b_int) {
       const int64_t a = int64_value();
       const int64_t b = other.int64_value();
       return (a < b) ? -1 : (a > b) ? 1 : 0;
     }
-    const double a = AsDouble();
-    const double b = other.AsDouble();
-    return (a < b) ? -1 : (a > b) ? 1 : 0;
+    if (a_int) return CompareInt64Double(int64_value(), other.double_value());
+    if (b_int) return -CompareInt64Double(other.int64_value(), double_value());
+    return CompareDoubles(double_value(), other.double_value());
   }
   if (a_num != b_num) return a_num ? -1 : 1;  // numeric < string
   return string_value().compare(other.string_value()) < 0
              ? -1
              : (string_value() == other.string_value() ? 0 : 1);
-}
-
-size_t Value::Hash() const {
-  if (is_null()) return 0x9ae16a3b2f90404fULL;
-  if (is_numeric()) {
-    double d = AsDouble();
-    if (d == 0.0) d = 0.0;  // normalize -0.0 to +0.0
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return HashCombine(0x51afd7ed558ccd4dULL, static_cast<size_t>(bits));
-  }
-  const std::string& s = string_value();
-  return HashCombine(0xc2b2ae3d27d4eb4fULL, HashBytes(s.data(), s.size()));
 }
 
 }  // namespace cape

@@ -2,13 +2,30 @@
 #define CAPE_RELATIONAL_VALUE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <variant>
 
-#include "common/hash.h"
-
 namespace cape {
+
+/// PostgreSQL's float order, the one rule by which the engine compares,
+/// keys and sorts doubles: NaN equals NaN and sorts above every other
+/// number, and -0.0 equals 0.0. Returns <0, 0, >0.
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  return static_cast<int>(a != a) - static_cast<int>(b != b);  // a NaN is involved
+}
+
+/// The key form of a double under CompareDoubles: -0.0 becomes 0.0 and
+/// every NaN one quiet NaN, so two doubles compare equal iff their keys
+/// have the same bits. Byte keys (group keys, fragment keys) store this.
+inline double CanonicalDouble(double d) {
+  if (d != d) return std::numeric_limits<double>::quiet_NaN();
+  return d == 0.0 ? 0.0 : d;
+}
 
 /// Physical type of a column (and of a non-null Value).
 enum class DataType : int {
@@ -30,10 +47,8 @@ inline bool IsNumericType(DataType type) {
 /// Value is the boundary type of the engine: operators use typed column
 /// storage internally, but rows, group keys, pattern fragments, and user
 /// questions are expressed with Values. Values order NULL-first and compare
-/// int64/double numerically across types (Int64(2) == Double(2.0)); Hash()
-/// is consistent with that equality by hashing numerics through their double
-/// representation (int64 values beyond 2^53 may collide with near doubles,
-/// which only costs a hash-bucket probe, never a wrong equality).
+/// int64/double exactly by numeric value across types (Int64(2) ==
+/// Double(2.0)), doubles by CompareDoubles.
 class Value {
  public:
   /// Constructs a NULL value.
@@ -80,24 +95,18 @@ class Value {
   /// Renders the value for display ("NULL", "42", "3.5", "SIGKDD").
   std::string ToString() const;
 
-  /// Total order: NULL < everything; numerics compare by value across
-  /// int64/double; strings lexicographic; numeric < string.
-  /// Returns <0, 0, >0.
+  /// Total order: NULL < everything; numerics by exact value across
+  /// int64/double (no int64 rounds to a double), doubles by CompareDoubles,
+  /// so NaN sorts after every number; strings lexicographic; numeric <
+  /// string. Returns <0, 0, >0.
   int Compare(const Value& other) const;
 
   friend bool operator==(const Value& a, const Value& b) { return a.Compare(b) == 0; }
   friend bool operator!=(const Value& a, const Value& b) { return a.Compare(b) != 0; }
   friend bool operator<(const Value& a, const Value& b) { return a.Compare(b) < 0; }
 
-  /// Hash consistent with operator== within a single DataType.
-  size_t Hash() const;
-
  private:
   std::variant<std::monostate, int64_t, double, std::string> data_;
-};
-
-struct ValueHasher {
-  size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
 }  // namespace cape

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 
 #include "common/cancellation.h"
@@ -10,6 +14,7 @@
 #include "relational/catalog.h"
 #include "relational/operators.h"
 #include "sql/executor.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -376,6 +381,40 @@ TEST(RunStatsTest, TruncatedMiningIsRecorded) {
   ASSERT_TRUE(e.MinePatterns("SHARE-GRP").ok());
   EXPECT_TRUE(e.run_stats().mine_truncated);
   EXPECT_EQ(e.run_stats().mine_stop_reason, StopReason::kCancelled);
+
+  // Neither store marks a cut-short set, so both saves refuse it and leave
+  // the file already at the path byte for byte.
+  const std::string text_path = TestTempPath("truncated_patterns.txt");
+  const std::string binary_path = TestTempPath("truncated_patterns.bin");
+  const std::string previous = "an earlier store\n";
+  for (const std::string& path : {text_path, binary_path}) {
+    std::ofstream(path, std::ios::binary) << previous;
+  }
+  EXPECT_TRUE(e.SavePatterns(text_path).IsInvalidArgument());
+  EXPECT_TRUE(e.SavePatternsBinary(binary_path).IsInvalidArgument());
+  for (const std::string& path : {text_path, binary_path}) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), previous) << path;
+  }
+
+  // A set installed later saves as before: from a complete mine...
+  e.mining_config().cancel_token = CancellationToken();
+  ASSERT_TRUE(e.MinePatterns("SHARE-GRP").ok());
+  EXPECT_FALSE(e.run_stats().mine_truncated);
+  EXPECT_TRUE(e.SavePatternsBinary(binary_path).ok());
+  EXPECT_TRUE(e.SavePatterns(text_path).ok());
+  // ...from LoadPatterns, and from SetPatterns, each after a cut-short mine.
+  e.mining_config().cancel_token = source.token();
+  ASSERT_TRUE(e.MinePatterns("SHARE-GRP").ok());
+  ASSERT_TRUE(e.SavePatterns(text_path).IsInvalidArgument());
+  ASSERT_TRUE(e.LoadPatterns(binary_path).ok());
+  EXPECT_TRUE(e.SavePatterns(text_path).ok());
+  ASSERT_TRUE(e.MinePatterns("SHARE-GRP").ok());
+  ASSERT_TRUE(e.SavePatternsBinary(binary_path).IsInvalidArgument());
+  e.SetPatterns(PatternSet(e.patterns()));
+  EXPECT_TRUE(e.SavePatternsBinary(binary_path).ok());
+  std::remove(text_path.c_str());
+  std::remove(binary_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

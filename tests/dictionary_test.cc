@@ -6,6 +6,7 @@
 
 #include "reference_eval.h"
 #include "relational/csv.h"
+#include "relational/kernels.h"
 #include "relational/operators.h"
 #include "relational/table.h"
 
@@ -48,12 +49,10 @@ TEST(DictionaryTest, DuplicateHeavyAndAllDistinctCardinalities) {
   for (int i = 0; i < 1000; ++i) dup.AppendString("v" + std::to_string(i % 7));
   EXPECT_EQ(dup.size(), 1000);
   EXPECT_EQ(dup.dict_size(), 7);
-  EXPECT_EQ(dup.CountDistinct(), 7);
 
   Column distinct(DataType::kString);
   for (int i = 0; i < 1000; ++i) distinct.AppendString("v" + std::to_string(i));
   EXPECT_EQ(distinct.dict_size(), 1000);
-  EXPECT_EQ(distinct.CountDistinct(), 1000);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(distinct.GetCode(i), i);  // all-new values appear in append order
   }
@@ -193,21 +192,20 @@ TEST(DictionaryTest, SortOrdersStringsNullsFirst) {
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
-TEST(DictionaryTest, RowEqualityMatcherCompilesConditionKinds) {
+TEST(DictionaryTest, SelectionCompilesConditionKinds) {
   TablePtr table = MakeCityTable();
-  // Multi-column: string code + int64 exact.
-  RowEqualityMatcher both(*table, {{0, Value::String("rome")}, {2, Value::Int64(30)}});
-  ASSERT_FALSE(both.never_matches());
-  EXPECT_FALSE(both.Matches(0));  // rome but pop=0
-  EXPECT_TRUE(both.Matches(3));   // rome, pop=30
+  auto select = [&](const std::vector<std::pair<int, Value>>& conditions) {
+    std::vector<int64_t> sel;
+    EXPECT_TRUE(FilterEqualsSel(*table, conditions, nullptr, &sel).ok());
+    return sel;
+  };
+  // Multi-column: string code + int64 exact (row 0 is rome with pop=0).
+  EXPECT_EQ(select({{0, Value::String("rome")}, {2, Value::Int64(30)}}),
+            std::vector<int64_t>{3});
   // Cross-type numeric equality: int64 column vs double condition.
-  RowEqualityMatcher numeric(*table, {{2, Value::Double(30.0)}});
-  ASSERT_FALSE(numeric.never_matches());
-  EXPECT_TRUE(numeric.Matches(3));
-  EXPECT_FALSE(numeric.Matches(4));
+  EXPECT_EQ(select({{2, Value::Double(30.0)}}), std::vector<int64_t>{3});
   // String condition against a numeric column can never hold.
-  RowEqualityMatcher impossible(*table, {{2, Value::String("30")}});
-  EXPECT_TRUE(impossible.never_matches());
+  EXPECT_TRUE(select({{2, Value::String("30")}}).empty());
 }
 
 TEST(DictionaryTest, ReserveDictKeepsContents) {

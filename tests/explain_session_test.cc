@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,7 +19,10 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "datagen/dblp.h"
+#include "explain/question_finder.h"
 #include "relational/csv.h"
+#include "storage/heap_file.h"
+#include "storage/paged_table.h"
 #include "test_util.h"
 
 namespace cape {
@@ -329,11 +335,10 @@ TEST(ExplainSessionTest, CancelledBatchLeavesSessionReusable) {
 }
 
 TEST(ExplainSessionTest, NanAndSignedZeroGroupValuesMatchOneShot) {
-  // x holds NaN, 0.0 and -0.0 cells. Value::Compare finds NaN equal to
-  // every value and -0.0 equal to 0.0; γ keys NaN as a group of its own and
-  // folds -0.0 into 0.0. So σ_{x=1.0}(R) takes the x = NaN rows too, and a
-  // session's NORM lookup in the memo finds two γ groups where the one-shot
-  // scan sums one selection.
+  // x holds NaN, 0.0 and -0.0 cells. σ and γ's keys compare them by one
+  // rule, PostgreSQL's (value.h): NaN equals only NaN and -0.0 equals 0.0.
+  // So a session's NORM lookup in the memo finds at most one γ group, and it
+  // must sum the same rows, in the same order, as the one-shot scan.
   const char* const gs[] = {"a", "b", "c"};
   const char* const xs[] = {"1.0", "2.0", "3.0", "0.0", "-0.0", "nan"};
   std::string csv = "g,x,y\n";
@@ -402,6 +407,147 @@ TEST(ExplainSessionTest, NanAndSignedZeroGroupValuesMatchOneShot) {
     }
   }
   EXPECT_GT(answered, 0) << "no question had an explanation; the check is vacuous";
+}
+
+TEST(ExplainSessionTest, Int64KeysBeyondDoublePrecisionMatchOneShot) {
+  // k holds 2^53 + 0..5; a question gives k = 2^53 as a double. An int64
+  // equals only the double of exactly its value, so σ_{k=2^53} takes one
+  // key, in R and in the memo's γ table alike, and NORM agrees.
+  const int64_t edge = int64_t{1} << 53;
+  auto table = MakeEmptyTable({Field{"g", DataType::kString, false},
+                               Field{"k", DataType::kInt64, false}});
+  for (int g = 0; g < 3; ++g) {
+    for (int k = 0; k < 6; ++k) {
+      for (int c = 0; c <= (g * 7 + k * 5) % 4; ++c) {
+        const Row row{Value::String("g" + std::to_string(g)), Value::Int64(edge + k)};
+        ASSERT_TRUE(table->AppendRow(row).ok());
+      }
+    }
+  }
+  auto engine = Engine::FromTable(table);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  MiningConfig& mining = engine->mining_config();
+  mining.max_pattern_size = 2;
+  mining.local_gof_threshold = 0.0;
+  mining.local_support_threshold = 1;
+  mining.global_confidence_threshold = 0.0;
+  mining.global_support_threshold = 1;
+  mining.agg_functions = {AggFunc::kCount};
+  mining.model_types = {ModelType::kConst};
+  ASSERT_TRUE(engine->MinePatterns().ok());
+  auto session = engine->MakeExplainSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  int64_t answered = 0;
+  for (const Direction dir : {Direction::kLow, Direction::kHigh}) {
+    auto q = engine->MakeQuestion({"g", "k"},
+                                  {Value::String("g0"), Value::Double(0x1p53)},
+                                  AggFunc::kCount, "*", dir);
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q->result_value, 1.0);  // the 2^53 + 1 rows are another group
+    auto one_shot = engine->Explain(*q);
+    auto served = session->Explain(*q);
+    ASSERT_TRUE(one_shot.ok() && served.ok());
+    EXPECT_EQ(AnswerBytes(*served, engine->schema()),
+              AnswerBytes(*one_shot, engine->schema()));
+    answered += one_shot->explanations.empty() ? 0 : 1;
+  }
+  EXPECT_GT(answered, 0) << "no question had an explanation; the check is vacuous";
+}
+
+TEST(ExplainSessionTest, NanMeasureScoresOnlyNumbers) {
+  // A summed double measure with ~2% NaN cells: a group sum that takes one
+  // is NaN, and so is a NORM or a local model fitted over such sums.
+  // Condition (5), the baseline's deviation test and the question finder's
+  // outlierness test are strict, and a NaN NORM adds no pairs, so every
+  // score and outlierness returned is a number, on every path.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::mt19937_64 rng(2019);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  auto table = MakeEmptyTable({Field{"a", DataType::kString, false},
+                               Field{"b", DataType::kString, false},
+                               Field{"yr", DataType::kInt64, false},
+                               Field{"m", DataType::kDouble, true}});
+  int64_t nan_cells = 0;
+  for (int64_t r = 0; r < 3000; ++r) {
+    const int64_t a = static_cast<int64_t>(rng() % 8);
+    const int64_t b = static_cast<int64_t>(rng() % 6);
+    const int64_t yr = 2000 + static_cast<int64_t>(rng() % 8);
+    const bool is_nan = unit(rng) < 0.02;
+    nan_cells += is_nan ? 1 : 0;
+    const double m = is_nan ? nan : 10.0 + a + 2.0 * b + (yr - 2000) + 4.0 * unit(rng);
+    ASSERT_TRUE(table
+                    ->AppendRow({Value::String("a" + std::to_string(a)),
+                                 Value::String("b" + std::to_string(b)), Value::Int64(yr),
+                                 Value::Double(m)})
+                    .ok());
+  }
+  ASSERT_GT(nan_cells, 0);
+  auto engine = Engine::FromTable(table);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  MiningConfig& mining = engine->mining_config();
+  mining.max_pattern_size = 3;
+  mining.local_gof_threshold = 0.1;
+  mining.local_support_threshold = 3;
+  mining.global_confidence_threshold = 0.1;
+  mining.global_support_threshold = 2;
+  mining.agg_functions = {AggFunc::kSum};
+  ASSERT_TRUE(engine->MinePatterns().ok());
+
+  const std::string path = TestTempPath("nan_measure.cape");
+  ASSERT_TRUE(WriteTableToHeapFile(*table, path, /*rows_per_page=*/2048).ok());
+  auto opened = OpenPagedTable(path, /*budget_bytes=*/1 << 17);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto paged = Engine::FromTable(*opened);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  paged->SetPatterns(engine->patterns());
+  auto session = engine->MakeExplainSession();
+  auto paged_session = paged->MakeExplainSession();
+  ASSERT_TRUE(session.ok() && paged_session.ok());
+
+  int64_t nan_questions = 0;
+  int64_t scored = 0;
+  for (int64_t row = 0; row < 12; ++row) {
+    const Row values = table->GetRow(row);
+    for (const Direction dir : {Direction::kLow, Direction::kHigh}) {
+      auto q = engine->MakeQuestion({"a", "b", "yr"}, {values[0], values[1], values[2]},
+                                    AggFunc::kSum, "m", dir);
+      auto pq = paged->MakeQuestion({"a", "b", "yr"}, {values[0], values[1], values[2]},
+                                    AggFunc::kSum, "m", dir);
+      ASSERT_TRUE(q.ok() && pq.ok()) << q.status().ToString();
+      nan_questions += std::isnan(q->result_value) ? 1 : 0;
+      auto one_shot = engine->Explain(*q);
+      auto served = session->Explain(*q);
+      auto from_pages = paged->Explain(*pq);
+      auto served_from_pages = paged_session->Explain(*pq);
+      auto baseline = engine->ExplainBaseline(*q);
+      ASSERT_TRUE(one_shot.ok() && served.ok() && from_pages.ok() &&
+                  served_from_pages.ok() && baseline.ok());
+      const std::string want = AnswerBytes(*one_shot, engine->schema());
+      EXPECT_EQ(AnswerBytes(*served, engine->schema()), want) << q->ToString();
+      EXPECT_EQ(AnswerBytes(*from_pages, engine->schema()), want) << q->ToString();
+      EXPECT_EQ(AnswerBytes(*served_from_pages, engine->schema()), want) << q->ToString();
+      for (const ExplainResult* result : {&*one_shot, &*baseline}) {
+        for (const Explanation& e : result->explanations) {
+          EXPECT_FALSE(std::isnan(e.score)) << q->ToString();
+          EXPECT_FALSE(std::isnan(e.norm)) << q->ToString();
+          scored += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(scored, 0) << "no question had an explanation; the check is vacuous";
+
+  QuestionFinderOptions options;
+  options.top_k = 100;
+  options.min_outlierness = 0.0;
+  auto found = FindCandidateQuestions(table, engine->patterns(), options);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_FALSE(found->empty());
+  for (const CandidateQuestion& c : *found) {
+    EXPECT_FALSE(std::isnan(c.outlierness)) << c.question.ToString();
+    EXPECT_FALSE(std::isnan(c.deviation)) << c.question.ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ExplainSessionTest, RequiresMinedPatterns) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "relational/catalog.h"
 #include "relational/csv.h"
+#include "relational/kernels.h"
 #include "relational/operators.h"
 #include "relational/table.h"
 
@@ -135,6 +141,142 @@ TEST(GroupByEdgeTest, MinMaxOverStringsWork) {
   ASSERT_TRUE(grouped.ok());
   EXPECT_EQ((*grouped)->GetValue(0, 0), Value::String("a"));
   EXPECT_EQ((*grouped)->GetValue(0, 1), Value::String("b"));
+}
+
+// ---------------------------------------------------------------------------
+// Doubles follow PostgreSQL's float rule (value.h): NaN equals NaN and sorts
+// above every number, and -0.0 equals 0.0, in σ, γ/DISTINCT, min/max and
+// sort alike.
+
+TablePtr DoubleTable(const std::vector<Value>& xs) {
+  auto table = MakeEmptyTable({Field{"x", DataType::kDouble, true}});
+  for (const Value& x : xs) EXPECT_TRUE(table->AppendRow({x}).ok());
+  return table;
+}
+
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(FloatRuleTest, SelectionMatchesPostgresqlEquality) {
+  auto table = DoubleTable({Value::Double(1.0), Value::Double(kNan), Value::Double(2.0),
+                            Value::Double(1.0)});
+  auto rows = [&](double v) {
+    auto selected = FilterEquals(*table, {{0, Value::Double(v)}});
+    EXPECT_TRUE(selected.ok());
+    auto counted = CountFilterMatches(*table, {{0, Value::Double(v)}});
+    EXPECT_TRUE(counted.ok());
+    EXPECT_EQ(*counted, (*selected)->num_rows());
+    return (*selected)->num_rows();
+  };
+  EXPECT_EQ(rows(1.0), 2);
+  EXPECT_EQ(rows(2.0), 1);
+  EXPECT_EQ(rows(kNan), 1);
+  EXPECT_EQ(rows(-kNan), 1);
+  EXPECT_EQ(rows(3.0), 0);
+
+  auto zeros = DoubleTable({Value::Double(0.0), Value::Double(-0.0), Value::Null()});
+  for (double zero : {0.0, -0.0}) {
+    auto selected = FilterEquals(*zeros, {{0, Value::Double(zero)}});
+    ASSERT_TRUE(selected.ok());
+    EXPECT_EQ((*selected)->num_rows(), 2);  // both zeros, not the NULL
+  }
+  // An int64 column never holds NaN.
+  auto ints = MakeEmptyTable({Field{"n", DataType::kInt64, true}});
+  ASSERT_TRUE(ints->AppendRow({Value::Int64(0)}).ok());
+  auto none = CountFilterMatches(*ints, {{0, Value::Double(kNan)}});
+  ASSERT_TRUE(none.ok());
+  EXPECT_EQ(*none, 0);
+}
+
+TEST(FloatRuleTest, Int64CellsEqualOnlyTheExactDouble) {
+  // 2^53 + 1 is no double: the double 2^53 selects the 2^53 row alone.
+  const int64_t edge = int64_t{1} << 53;
+  auto ints = MakeEmptyTable({Field{"n", DataType::kInt64, true}});
+  for (int64_t n : {edge, edge + 1, int64_t{2}}) {
+    ASSERT_TRUE(ints->AppendRow({Value::Int64(n)}).ok());
+  }
+  auto count = [&](const Value& v) {
+    auto counted = CountFilterMatches(*ints, {{0, v}});
+    EXPECT_TRUE(counted.ok());
+    return *counted;
+  };
+  EXPECT_EQ(count(Value::Double(0x1p53)), 1);
+  EXPECT_EQ(count(Value::Int64(edge + 1)), 1);
+  EXPECT_EQ(count(Value::Double(2.0)), 1);
+  EXPECT_EQ(count(Value::Double(2.5)), 0);
+  auto doubles = DoubleTable({Value::Double(0x1p53), Value::Double(2.0)});
+  auto counted = CountFilterMatches(*doubles, {{0, Value::Int64(edge + 1)}});
+  ASSERT_TRUE(counted.ok());
+  EXPECT_EQ(*counted, 0);
+}
+
+TEST(FloatRuleTest, DistinctKeysEveryNanAndBothZerosTogether) {
+  auto table = DoubleTable({Value::Double(kNan), Value::Double(-kNan), Value::Double(0.0),
+                            Value::Double(-0.0)});
+  auto distinct = ProjectDistinct(*table, {0});
+  ASSERT_TRUE(distinct.ok());
+  EXPECT_EQ((*distinct)->num_rows(), 2);
+  auto grouped =
+      GroupByAggregate(*table, std::vector<int>{0}, {AggregateSpec::CountStar("n")});
+  ASSERT_TRUE(grouped.ok());
+  ASSERT_EQ((*grouped)->num_rows(), 2);
+  EXPECT_EQ((*grouped)->GetValue(0, 1), Value::Int64(2));
+  EXPECT_EQ((*grouped)->GetValue(1, 1), Value::Int64(2));
+}
+
+TEST(FloatRuleTest, MaxIsNanInEitherRowOrder) {
+  const std::vector<std::vector<double>> orders = {
+      {1.0, kNan, 3.0}, {kNan, 1.0, 3.0}, {1.0, 3.0, kNan}};
+  for (const std::vector<double>& xs : orders) {
+    std::vector<Value> cells;
+    for (double x : xs) cells.push_back(Value::Double(x));
+    auto grouped =
+        GroupByAggregate(*DoubleTable(cells), std::vector<int>{},
+                         {AggregateSpec::Max(0, "hi"), AggregateSpec::Min(0, "lo")});
+    ASSERT_TRUE(grouped.ok());
+    EXPECT_TRUE(std::isnan((*grouped)->GetValue(0, 0).double_value()));
+    EXPECT_EQ((*grouped)->GetValue(0, 1), Value::Double(1.0));
+  }
+}
+
+TEST(FloatRuleTest, SortPutsNanAfterEveryNumberAndNullFirst) {
+  auto table = DoubleTable({Value::Double(2.0), Value::Double(kNan), Value::Null(),
+                            Value::Double(-1.0), Value::Double(kNan),
+                            Value::Double(0.5)});
+  auto sorted = SortTable(*table, {SortKey{0, true}});
+  ASSERT_TRUE(sorted.ok());
+  EXPECT_TRUE((*sorted)->GetValue(0, 0).is_null());
+  EXPECT_EQ((*sorted)->GetValue(1, 0), Value::Double(-1.0));
+  EXPECT_EQ((*sorted)->GetValue(2, 0), Value::Double(0.5));
+  EXPECT_EQ((*sorted)->GetValue(3, 0), Value::Double(2.0));
+  EXPECT_TRUE(std::isnan((*sorted)->GetValue(4, 0).double_value()));
+  EXPECT_TRUE(std::isnan((*sorted)->GetValue(5, 0).double_value()));
+
+  // Random 64-row columns with ~10% NaN come out in order every time.
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int out_of_order = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Value> cells;
+    for (int i = 0; i < 64; ++i) {
+      cells.push_back(Value::Double(unit(rng) < 0.1 ? kNan : unit(rng) * 100.0));
+    }
+    auto column = SortTable(*DoubleTable(cells), {SortKey{0, true}});
+    ASSERT_TRUE(column.ok());
+    bool seen_nan = false;
+    double last = -1.0;
+    for (int64_t r = 0; r < (*column)->num_rows(); ++r) {
+      const double x = (*column)->GetValue(r, 0).double_value();
+      if (std::isnan(x)) {
+        seen_nan = true;
+      } else if (seen_nan || x < last) {
+        ++out_of_order;
+        break;
+      } else {
+        last = x;
+      }
+    }
+  }
+  EXPECT_EQ(out_of_order, 0);
 }
 
 TEST(CatalogTest, RegisterGetDropList) {

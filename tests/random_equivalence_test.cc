@@ -1,5 +1,6 @@
 // Randomized equivalence suite (DESIGN.md §11): seeded generators of small
-// random tables — mixed types, NULLs, skewed dictionaries — drive property
+// random tables — mixed types, NULLs, NaN and signed zeros, skewed
+// dictionaries — drive property
 // checks that the hand-written fixtures cannot cover by breadth:
 //
 //  1. The scan kernels — FilterEquals, CountFilterMatches, GroupByAggregate,
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <random>
@@ -52,9 +54,29 @@
 namespace cape {
 namespace {
 
+/// The double cell of row `r` of a random table: every 41 rows, NaN, -0.0,
+/// -NaN and 0.0 replace the drawn value at offsets 1 to 4, so every seed's
+/// table holds each of them.
+Value RandomVal(int64_t r, Value drawn) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  switch (r % 41) {
+    case 1:
+      return Value::Double(nan);
+    case 2:
+      return Value::Double(-0.0);
+    case 3:
+      return Value::Double(-nan);
+    case 4:
+      return Value::Double(0.0);
+    default:
+      return drawn;
+  }
+}
+
 /// Small random relation: two string columns with skewed dictionaries
 /// (including awkward strings — spaces, tabs, '%'), a nullable int64, and a
-/// nullable double. All content is a pure function of the seed.
+/// nullable double holding NaN and signed zeros (RandomVal). All content is
+/// a pure function of the seed.
 TablePtr MakeRandomTable(uint64_t seed) {
   std::mt19937_64 rng(seed);
   auto table = MakeEmptyTable({Field{"cat", DataType::kString, true},
@@ -77,7 +99,8 @@ TablePtr MakeRandomTable(uint64_t seed) {
     row.push_back(unit(rng) < 0.1 ? Value::Null() : Value::String(city_pool[city_idx]));
     row.push_back(unit(rng) < 0.15 ? Value::Null()
                                    : Value::Int64(static_cast<int64_t>(rng() % 50)));
-    row.push_back(unit(rng) < 0.15 ? Value::Null() : Value::Double(unit(rng) * 100.0));
+    row.push_back(RandomVal(
+        r, unit(rng) < 0.15 ? Value::Null() : Value::Double(unit(rng) * 100.0)));
     EXPECT_TRUE(table->AppendRow(row).ok());
   }
   return table;
@@ -85,18 +108,22 @@ TablePtr MakeRandomTable(uint64_t seed) {
 
 /// Aggregates covering every update shape: mask popcounts (count(*) and
 /// count(col) over a nullable column), the exact int64 sum, the double
-/// sum/avg, and the boxed min/max comparisons (numeric and string).
+/// sum/avg, and the boxed min/max comparisons (numeric, NaN-bearing and
+/// string).
 std::vector<AggregateSpec> AllAggregates() {
   return {AggregateSpec::CountStar("n"),   AggregateSpec{AggFunc::kCount, 3, "val_n"},
           AggregateSpec::Sum(2, "num_sum"), AggregateSpec::Sum(3, "val_sum"),
           AggregateSpec::Avg(3, "val_avg"), AggregateSpec::Avg(2, "num_avg"),
-          AggregateSpec::Min(3, "val_min"), AggregateSpec::Max(0, "cat_max")};
+          AggregateSpec::Min(3, "val_min"), AggregateSpec::Max(3, "val_max"),
+          AggregateSpec::Max(0, "cat_max")};
 }
 
 /// Conditions covering code equality, the dictionary-miss proof, NULL on a
 /// string and on a numeric column, multi-column conjunctions, int64
-/// equality, the scalar int64-vs-double shape, and a type mismatch.
+/// equality, double values on the int64 column (an exact 7.0, a fraction,
+/// NaN), a type mismatch, and double equality on NaN, 0.0 and -0.0.
 std::vector<reference::Conditions> AllFilters() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   return {
       {},
       {{0, Value::String("alpha")}},
@@ -108,6 +135,11 @@ std::vector<reference::Conditions> AllFilters() {
       {{2, Value::Double(7.0)}},
       {{1, Value::String("rio")}, {2, Value::Int64(3)}},
       {{3, Value::String("7")}},
+      {{3, Value::Double(nan)}},
+      {{3, Value::Double(0.0)}},
+      {{3, Value::Double(-0.0)}},
+      {{2, Value::Double(7.5)}},
+      {{2, Value::Double(nan)}},
   };
 }
 
@@ -256,7 +288,8 @@ TablePtr MakeLargeRandomTable(uint64_t seed) {
                                   : Value::String(city_pool[rng() % city_pool.size()]));
     row.push_back(unit(rng) < 0.15 ? Value::Null()
                                    : Value::Int64(static_cast<int64_t>(rng() % 50)));
-    row.push_back(unit(rng) < 0.15 ? Value::Null() : Value::Double(unit(rng) * 100.0));
+    row.push_back(RandomVal(
+        r, unit(rng) < 0.15 ? Value::Null() : Value::Double(unit(rng) * 100.0)));
     EXPECT_TRUE(table->AppendRow(row).ok());
   }
   return table;
@@ -716,9 +749,10 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalGroupByVsReferenceTest,
 // pair; an ExplainSession masks whole shared γ tables instead. Both, over
 // the resident table and over its page-backed copy (whose kernels scan page
 // by page), must return the same top-k bytes at 1, 2, 4 and 8 threads,
-// including on questions about NULL groups and questions that give the
-// int64 attribute a double value (the cross-type equality the pushed-down
-// filter applies).
+// including on questions about NULL groups, about NaN and signed-zero
+// groups of the double attribute, and questions that give the int64
+// attribute a double value (the cross-type equality the pushed-down filter
+// applies).
 // ---------------------------------------------------------------------------
 
 /// A question's group-by columns (MakeRandomTable indices) and aggregate.
@@ -779,6 +813,7 @@ TEST_P(RandomEquivalenceTest, OneShotSessionAndPagedExplainAgree) {
       {{0, 2}, AggFunc::kCount, "*"},
       {{1, 2}, AggFunc::kSum, "val"},
       {{0, 1, 2}, AggFunc::kSum, "val"},
+      {{1, 3}, AggFunc::kCount, "*"},
   };
   std::vector<UserQuestion> questions;
   std::vector<UserQuestion> paged_questions;

@@ -5,27 +5,32 @@
 // implement: σ, COUNT, γ (count(*), count(col), sum, avg, min, max),
 // DISTINCT and a stable multi-key sort. It is written from the operator
 // definitions, not from the kernels: one row at a time, over boxed Values
-// read with Table::GetValue and compared with Value's own operators. From
-// the engine it takes only Value, Table, and the plain AggregateSpec/SortKey
-// descriptors the operators are called with.
+// read with Table::GetValue. It compares them with its own Compare, which
+// writes PostgreSQL's order out instead of calling Value::Compare, the rule
+// under test. From the engine it takes only Value, Table, and the plain
+// AggregateSpec/SortKey descriptors the operators are called with.
 //
 // The rules it derives answers from:
-//   * a condition (col, v) holds when the cell equals v under Value::Compare,
-//     so NULL equals NULL and an int64 cell equals the double of its value;
+//   * a condition (col, v) holds when Compare finds the cell equal to v, so
+//     NULL equals NULL, an int64 cell equals a double of exactly its value,
+//     NaN equals only NaN and -0.0 equals 0.0;
 //   * groups (and distinct rows) come out in first-seen row order, keyed by
-//     Value::Compare equality (tables here hold no NaN);
+//     Compare equality, so all NaNs share a group, as do -0.0 and 0.0;
+//   * min and max order by Compare, so max is NaN once any input is NaN;
 //   * sums run in row order: an int64 column's sum is exact, a double sum
 //     (and avg's running sum) adds the cells' double values one row at a
 //     time;
 //   * an empty input still yields one γ row when there are no group columns;
-//   * sorting is stable, NULL first on ascending keys (last on descending).
+//   * sorting is stable by Compare: NULL first on ascending keys (last on
+//     descending), NaN after every number.
 //
 // Results are rows of Values; SameRows compares an operator's output table
-// with them cell by cell, by type and exact bits.
+// with them cell by cell, by type and exact bits (any NaN matching any NaN).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -48,9 +53,38 @@ inline Row Projection(const Table& table, int64_t row, const std::vector<int>& c
   return out;
 }
 
+/// The order of two cells: NULL first (and equal to NULL), then numerics,
+/// then strings. Numerics compare by exact value (as long doubles, which
+/// hold every int64 and double exactly on the x86-64 and AArch64 targets),
+/// and doubles in PostgreSQL's float order: NaN equals NaN and sorts above
+/// every number, and -0.0 equals 0.0. Strings compare bytewise.
+inline int Compare(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) {
+    return static_cast<int>(!a.is_null()) - static_cast<int>(!b.is_null());
+  }
+  if (a.is_numeric() != b.is_numeric()) return a.is_numeric() ? -1 : 1;
+  if (!a.is_numeric()) {
+    const int c = a.string_value().compare(b.string_value());
+    return (c > 0) - (c < 0);
+  }
+  if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
+    return (a.int64_value() > b.int64_value()) - (a.int64_value() < b.int64_value());
+  }
+  auto exact = [](const Value& v) -> long double {
+    return v.type() == DataType::kInt64 ? static_cast<long double>(v.int64_value())
+                                        : static_cast<long double>(v.double_value());
+  };
+  const long double x = exact(a);
+  const long double y = exact(b);
+  if (std::isnan(x) || std::isnan(y)) {
+    return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+  }
+  return (x > y) - (x < y);
+}
+
 inline bool Matches(const Table& table, int64_t row, const Conditions& conditions) {
   for (const auto& [col, value] : conditions) {
-    if (table.GetValue(row, col).Compare(value) != 0) return false;
+    if (Compare(table.GetValue(row, col), value) != 0) return false;
   }
   return true;
 }
@@ -71,11 +105,11 @@ inline int64_t Count(const Table& table, const Conditions& conditions) {
   return n;
 }
 
-/// Lexicographic Value::Compare order: the key order of the group index.
+/// Lexicographic Compare order: the key order of the group index.
 struct RowLess {
   bool operator()(const Row& a, const Row& b) const {
     for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      const int c = a[i].Compare(b[i]);
+      const int c = Compare(a[i], b[i]);
       if (c != 0) return c < 0;
     }
     return a.size() < b.size();
@@ -106,10 +140,10 @@ inline void Accumulate(const AggregateSpec& spec, const Value& input, Accumulato
       acc->dsum += input.AsDouble();
       break;
     case AggFunc::kMin:
-      if (acc->best.is_null() || input < acc->best) acc->best = input;
+      if (acc->best.is_null() || Compare(input, acc->best) < 0) acc->best = input;
       break;
     case AggFunc::kMax:
-      if (acc->best.is_null() || acc->best < input) acc->best = input;
+      if (acc->best.is_null() || Compare(acc->best, input) < 0) acc->best = input;
       break;
   }
 }
@@ -187,7 +221,7 @@ inline Rows Sort(const Table& table, const std::vector<SortKey>& keys) {
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
     for (const SortKey& k : keys) {
-      const int c = table.GetValue(a, k.col).Compare(table.GetValue(b, k.col));
+      const int c = Compare(table.GetValue(a, k.col), table.GetValue(b, k.col));
       if (c != 0) return k.ascending ? c < 0 : c > 0;
     }
     return false;
@@ -198,8 +232,10 @@ inline Rows Sort(const Table& table, const std::vector<SortKey>& keys) {
 }
 
 /// Exact cell identity: both NULL, or the same type and the same payload —
-/// bit for bit for doubles. A value boxed as the wrong type (an int64 sum
-/// returned as a double) or summed in another order fails.
+/// bit for bit for doubles, except that any NaN matches any NaN: IEEE 754
+/// leaves the sign and payload of a sum's NaN to the order in which the
+/// compiled code passes the operands. A value boxed as the wrong type (an
+/// int64 sum returned as a double) or summed in another order fails.
 inline bool SameValue(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
   if (a.type() != b.type()) return false;
@@ -209,6 +245,7 @@ inline bool SameValue(const Value& a, const Value& b) {
     case DataType::kDouble: {
       const double x = a.double_value();
       const double y = b.double_value();
+      if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
       return std::memcmp(&x, &y, sizeof(x)) == 0;
     }
     case DataType::kString:

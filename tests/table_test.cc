@@ -52,15 +52,6 @@ TEST(ColumnTest, DoubleColumnAcceptsInt64Values) {
   EXPECT_DOUBLE_EQ(col.GetDouble(0), 3.0);
 }
 
-TEST(ColumnTest, CountDistinctIgnoresNulls) {
-  Column col(DataType::kString);
-  col.AppendString("a");
-  col.AppendString("b");
-  col.AppendString("a");
-  col.AppendNull();
-  EXPECT_EQ(col.CountDistinct(), 2);
-}
-
 TEST(ColumnTest, MinMax) {
   Column col(DataType::kInt64);
   col.AppendNull();
