@@ -13,6 +13,7 @@ namespace cape {
 Result<ExplainResult> BaselineExplain(const UserQuestion& q,
                                       const DistanceModel& distance,
                                       const ExplainConfig& config) {
+  if (config.top_k < 1) return Status::InvalidArgument("top_k must be at least 1");
   ExplainResult result;
   Stopwatch total;
   StopToken stop = config.MakeStopToken();

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
-#include <mutex>
-#include <set>
-#include <unordered_map>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
@@ -19,19 +21,6 @@ namespace cape {
 namespace {
 
 using explain_internal::AggDataCache;
-
-/// Stable identity of a candidate explanation. The paper deduplicates per
-/// (P', t'); we deduplicate per counterbalance tuple t' (attrs + values),
-/// which additionally collapses the case where the same tuple is reachable
-/// through different predictor splits (e.g. [author,venue]:year and
-/// [author,year]:venue both yield (AX, ICDE, 2007)) — the displayed tables
-/// in the paper contain each tuple once.
-std::string CandidateKey(const Explanation& e) {
-  std::string key = std::to_string(e.tuple_attrs.bits());
-  key.push_back('|');
-  key += EncodeRowKey(e.tuple_values);
-  return key;
-}
 
 /// Deterministic identity of one candidate in the scoring stream: the
 /// (P, P') pair's position in the deterministically-ordered pair list plus
@@ -51,80 +40,148 @@ bool RankLess(const CandidateRank& a, const CandidateRank& b) {
   return a.row < b.row;
 }
 
-/// Holds the best-scoring explanation per counterbalance tuple and exposes
-/// the k-th best deduplicated score as the pruning floor. Each scoring
-/// worker owns one pool (no locks on the Add path); when a `floor` is
-/// attached, every update that changes a full pool's threshold publishes it
-/// to the shared monotone floor so other workers prune against it too.
+/// A scored candidate explanation before it is known to be returned: what
+/// ranking it needs, plus what building its Explanation reads. `rank.pair`
+/// indexes the pair list (P, P' and NORM) and `rank.row` is the tuple's row
+/// in `data`, the pair's candidate table, so the tuple is boxed only if it
+/// is returned.
+struct Candidate {
+  double score = 0.0;
+  CandidateRank rank;
+  double agg_value = 0.0;
+  double predicted = 0.0;
+  double distance = 0.0;
+  TablePtr data;
+  /// Stable identity of the counterbalance tuple t': its attributes' bits,
+  /// '|', and the EncodeRowKey bytes of its values. The paper deduplicates
+  /// per (P', t'); we deduplicate per t', which additionally collapses the
+  /// same tuple reached through different predictor splits (e.g.
+  /// [author,venue]:year and [author,year]:venue both yield (AX, ICDE,
+  /// 2007)) — the displayed tables in the paper contain each tuple once.
+  /// Its byte order breaks score ties in the returned top-k.
+  std::string key;
+};
+
+/// The k best distinct counterbalance tuples seen so far, each with its
+/// best-scoring candidate, plus every tuple that ties the k-th best score.
+/// The k-th best score is the pool's threshold: a candidate below it is
+/// never built, and one that reaches it is kept. Each scoring worker owns
+/// one pool (no locks on the Add path); when a `floor` is attached, every
+/// rise of the threshold is published to the shared monotone floor so the
+/// other workers prune against it too.
+///
+/// A tuple leaves the pool only when at least k other tuples in it score
+/// strictly higher, so it can neither enter nor tie into the top-k of any
+/// superset of the candidates, and a later candidate for it either scores
+/// below the threshold too or comes back as a fresh entry with a higher
+/// score. The threshold is therefore the k-th best over every distinct tuple
+/// the pool was offered, as if it kept them all (DESIGN.md §9). Dropping is
+/// lazy: entries below the threshold are swept once the pool holds twice
+/// its size at the last sweep (and at least 2k), so many ties stay cheap.
 class CandidatePool {
  public:
-  CandidatePool(int k, SharedScoreFloor* floor) : k_(k), floor_(floor) {}
+  /// k >= 1: RunExplain rejects smaller top_k.
+  CandidatePool(int k, SharedScoreFloor* floor)
+      : k_(static_cast<size_t>(k)), floor_(floor), sweep_at_(2 * k_) {}
 
-  void Add(Explanation e, CandidateRank rank) {
-    std::string key = CandidateKey(e);
-    auto it = best_.find(key);
-    if (it == best_.end()) {
-      scores_.insert(e.score);
-      best_.emplace(std::move(key), Entry{std::move(e), rank});
-      Publish();
+  /// The k-th best distinct score so far, or -inf before k tuples are held:
+  /// a candidate scoring below it cannot be returned.
+  double threshold() const { return threshold_; }
+
+  /// Offers a candidate; one scoring below threshold() (or NaN) is ignored.
+  void Add(Candidate c) {
+    if (!(c.score >= threshold_)) return;
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+      Reindex(std::max<size_t>(16, 2 * slots_.size()));
+    }
+    uint32_t& slot = slots_[Probe(c.key)];
+    if (slot != 0) {
+      Candidate& held = entries_[slot - 1];
+      if (c.score < held.score) return;
+      if (c.score == held.score) {
+        // Same tuple, same score, different (P, P') or row: deterministic
+        // winner regardless of insertion order.
+        if (RankLess(c.rank, held.rank)) held = std::move(c);
+        return;
+      }
+      const double old_score = held.score;
+      held = std::move(c);
+      Raised(old_score, held.score);
       return;
     }
-    Entry& held = it->second;
-    if (e.score < held.explanation.score) return;
-    if (e.score == held.explanation.score) {
-      // Same tuple, same score, different (P, P') or row: deterministic
-      // winner regardless of insertion order.
-      if (RankLess(rank, held.rank)) held = Entry{std::move(e), rank};
-      return;
-    }
-    scores_.erase(scores_.find(held.explanation.score));
-    scores_.insert(e.score);
-    held = Entry{std::move(e), rank};
-    Publish();
+    entries_.push_back(std::move(c));
+    slot = static_cast<uint32_t>(entries_.size());
+    Raised(-std::numeric_limits<double>::infinity(), entries_.back().score);
+    if (entries_.size() >= sweep_at_) Sweep();
   }
 
-  /// Folds another pool's candidates into this one (used for the final
-  /// merge; both pools must share the same k).
-  void Merge(const CandidatePool& other) {
-    for (const auto& [key, entry] : other.best_) Add(entry.explanation, entry.rank);
+  /// Folds another pool's candidates into this one (the final merge), by
+  /// the same rule as Add; their keys move, they are not rebuilt.
+  void Merge(CandidatePool&& other) {
+    for (Candidate& c : other.entries_) Add(std::move(c));
+    other.entries_.clear();
   }
 
-  bool Full() const { return static_cast<int>(best_.size()) >= k_; }
-
-  /// Lowest score still inside the top-k, or -inf when not yet full.
-  double Threshold() const {
-    if (!Full()) return -std::numeric_limits<double>::infinity();
-    auto it = scores_.begin();
-    std::advance(it, k_ - 1);
-    return *it;
-  }
-
-  std::vector<Explanation> TopK() const {
-    std::vector<Explanation> out;
-    out.reserve(best_.size());
-    for (const auto& [key, entry] : best_) out.push_back(entry.explanation);
-    std::sort(out.begin(), out.end(), [](const Explanation& a, const Explanation& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return CandidateKey(a) < CandidateKey(b);  // deterministic tie-break
-    });
-    if (static_cast<int>(out.size()) > k_) out.resize(static_cast<size_t>(k_));
-    return out;
+  /// The top k by (score descending, key ascending).
+  std::vector<Candidate> TakeTopK() && {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Candidate& a, const Candidate& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.key < b.key;  // deterministic tie-break
+              });
+    if (entries_.size() > k_) entries_.resize(k_);
+    return std::move(entries_);
   }
 
  private:
-  struct Entry {
-    Explanation explanation;
-    CandidateRank rank;
-  };
-
-  void Publish() {
-    if (floor_ != nullptr && Full()) floor_->RaiseTo(Threshold());
+  /// Counts a tuple whose best score went from `before` to `after` and, once
+  /// k tuples score strictly above the threshold, raises it to the lowest
+  /// of them: that is the new k-th best, and fewer than k stay above it.
+  void Raised(double before, double after) {
+    if (before > threshold_ || !(after > threshold_)) return;
+    if (++above_ < k_) return;
+    double next = std::numeric_limits<double>::infinity();
+    for (const Candidate& c : entries_) {
+      if (c.score > threshold_ && c.score < next) next = c.score;
+    }
+    threshold_ = next;
+    above_ = 0;
+    for (const Candidate& c : entries_) above_ += c.score > threshold_ ? 1 : 0;
+    if (floor_ != nullptr) floor_->RaiseTo(threshold_);
   }
 
-  int k_;
+  /// Drops the entries below the threshold.
+  void Sweep() {
+    std::erase_if(entries_, [this](const Candidate& c) { return c.score < threshold_; });
+    sweep_at_ = std::max(2 * k_, 2 * entries_.size());
+    Reindex(slots_.size());
+  }
+
+  /// slots_ as an open-addressing index of entries_ with `size` slots (a
+  /// power of two): each holds an entry's position plus one, 0 when empty.
+  void Reindex(size_t size) {
+    slots_.assign(size, 0);
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      slots_[Probe(entries_[i].key)] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  size_t Probe(const std::string& key) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = std::hash<std::string>{}(key) & mask;; i = (i + 1) & mask) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0 || entries_[slot - 1].key == key) return i;
+    }
+  }
+
+  size_t k_;
   SharedScoreFloor* floor_;
-  std::unordered_map<std::string, Entry> best_;
-  std::multiset<double, std::greater<double>> scores_;
+  size_t sweep_at_;
+  double threshold_ = -std::numeric_limits<double>::infinity();
+  size_t above_ = 0;  // entries scoring strictly above threshold_; < k_
+  std::vector<Candidate> entries_;
+  std::vector<uint32_t> slots_;
 };
 
 /// Relevant patterns (Definition 5) restricted to the question's aggregate:
@@ -216,8 +273,9 @@ struct PairTask {
   double bound = 0.0;
 };
 
-/// Scans all candidate tuples t' for one (P, P') pair, adding every valid
-/// explanation (Definition 7) to the worker's pool. When `prune_locals` is
+/// Scans all candidate tuples t' for one (P, P') pair, offering every valid
+/// explanation (Definition 7) to the worker's pool; one scoring below the
+/// pool's threshold is counted and dropped unbuilt. When `prune_locals` is
 /// set, fragments whose local deviation bound cannot beat the shared score
 /// floor are skipped (the "more accurate bound" of Section 3.5). The floor
 /// comparison is strict: a fragment that could still *tie* the k-th best
@@ -286,7 +344,15 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
     v_is_numeric.push_back(IsNumericType(data->column(pos).type()));
   }
 
-  std::string fragment_key;  // reused across rows; same bytes as EncodeRowKey
+  // Buffers reused across rows: the fragment key (the same bytes as
+  // EncodeRowKey), the local model's X and the boxed tuple t' that the
+  // t' != t test and the distance read.
+  std::string fragment_key;
+  std::vector<double> x(v_positions.size());
+  Row tuple(attr_list.size());
+  std::vector<int> tuple_positions(attr_list.size());
+  std::iota(tuple_positions.begin(), tuple_positions.end(), 0);
+  const std::string key_prefix = std::to_string(attrs.bits()) + "|";
   // Conditions (3), (5) and the rest of (4) plus candidate emission for one
   // row that already passed condition (4)'s F-match.
   auto score_row = [&](int64_t row) {
@@ -306,34 +372,35 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
 
     // Condition (5): deviation in the opposite direction, a strict test that
     // a NaN aggregate or prediction fails.
-    std::vector<double> x;
-    x.reserve(v_positions.size());
     for (size_t i = 0; i < v_positions.size(); ++i) {
-      x.push_back(v_is_numeric[i] ? data->column(v_positions[i]).GetNumeric(row) : 0.0);
+      x[i] = v_is_numeric[i] ? data->column(v_positions[i]).GetNumeric(row) : 0.0;
     }
     const double predicted = local->model->Predict(x);
     const double y = data->column(agg_col).GetNumeric(row);
     if (!(q.dir == Direction::kLow ? y > predicted : y < predicted)) return;
 
-    Explanation e;
-    e.relevant_pattern = p;
-    e.refinement_pattern = pp;
-    e.tuple_attrs = attrs;
-    e.tuple_values.reserve(attr_list.size());
-    for (size_t i = 0; i < attr_list.size(); ++i) {
-      e.tuple_values.push_back(data->GetValue(row, static_cast<int>(i)));
+    for (size_t i = 0; i < tuple.size(); ++i) {
+      tuple[i] = data->GetValue(row, static_cast<int>(i));
     }
     // Condition (4): t' != t when over the same schema.
-    if (same_schema && e.tuple_values == q.group_values) return;
-    e.agg_value = y;
-    e.predicted = predicted;
-    e.deviation = y - predicted;
-    e.distance =
-        distance_model.Distance(q.group_attrs, q.group_values, attrs, e.tuple_values);
-    e.norm = norm;
-    e.score = (e.deviation * isLow) / ((e.distance + config.epsilon) * norm_denominator);
+    if (same_schema && tuple == q.group_values) return;
+    const double distance =
+        distance_model.Distance(q.group_attrs, q.group_values, attrs, tuple);
+    const double score = ((y - predicted) * isLow) /
+                         ((distance + config.epsilon) * norm_denominator);
     profile->num_candidates += 1;
-    pool->Add(std::move(e), CandidateRank{pair_rank, row});
+    if (!(score >= pool->threshold())) return;  // cannot be returned; build nothing
+
+    Candidate c;
+    c.score = score;
+    c.rank = CandidateRank{pair_rank, row};
+    c.agg_value = y;
+    c.predicted = predicted;
+    c.distance = distance;
+    c.data = data;
+    c.key = key_prefix;
+    AppendTableRowKey(*data, row, tuple_positions, &c.key);
+    pool->Add(std::move(c));
   };
 
   // Condition (4)'s F-match, t'[F] = t[F], selects its rows block-at-a-time
@@ -354,17 +421,19 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
 /// Shared implementation of both generators (Section 3). The relevant-
 /// pattern search and NORM queries run inline; the (P, P') scoring units
 /// are then partitioned across the shared ThreadPool — each worker scores
-/// into its own CandidatePool against a shared monotone score floor, and
-/// the per-worker pools are merged at the end. `optimized` enables the
-/// Section 3.5 ordering and pruning (EXPL-GEN-OPT); the naive generator
-/// scores every pair in enumeration order.
+/// into its own bounded CandidatePool against a shared monotone score floor,
+/// the per-worker pools are merged at the end, and only the returned
+/// candidates become Explanations. `optimized` enables the Section 3.5
+/// ordering and pruning (EXPL-GEN-OPT); the naive generator scores every
+/// pair in enumeration order.
 ///
 /// Determinism (DESIGN.md §9): the pair list and every per-candidate tie-
 /// break are deterministic, the floor is monotone and only ever below the
-/// true top-k threshold, and pruning is strict (`bound < floor`), so any
-/// candidate that could enter — or tie into — the final top-k is scored by
-/// every run. The merged top-k is therefore byte-identical at any thread
-/// count.
+/// true top-k threshold, pruning is strict (`bound < floor`), and a pool
+/// drops a tuple only when k others it holds score strictly higher, so any
+/// candidate that could enter — or tie into — the final top-k is scored and
+/// kept by every run. The merged top-k is therefore byte-identical at any
+/// thread count.
 ///
 /// `memo` is where each pair's candidates and each NORM come from
 /// (EvaluatePair, ComputeNorm): a session's shared memo of whole γ tables,
@@ -373,6 +442,7 @@ Status EvaluatePair(const UserQuestion& q, const GlobalPattern& relevant,
 Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patterns,
                                  const DistanceModel& distance, const ExplainConfig& config,
                                  bool optimized, AggDataCache* memo) {
+  if (config.top_k < 1) return Status::InvalidArgument("top_k must be at least 1");
   ExplainResult result;
   Stopwatch total;
   StopToken stop = config.MakeStopToken();
@@ -418,6 +488,7 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
     std::stable_sort(pairs.begin(), pairs.end(),
                      [](const PairTask& a, const PairTask& b) { return a.bound > b.bound; });
   }
+  result.profile.stage1_ns = total.ElapsedNanos();
 
   // Stage 2 (parallel): partition the pairs across workers. A run already
   // stopped in stage 1 skips scoring entirely (matching the sequential
@@ -459,9 +530,28 @@ Result<ExplainResult> RunExplain(const UserQuestion& q, const PatternSet& patter
       MarkPartial(&result, StopReasonFromStatus(scored), "refine");
     }
 
+    // Stage 3 (inline): merge the pools, cut to k and build the Explanations
+    // of the returned candidates only.
+    ScopedTimer merge(&result.profile.merge_ns);
     CandidatePool merged(config.top_k, nullptr);
-    for (const CandidatePool& pool : pools) merged.Merge(pool);
-    result.explanations = merged.TopK();
+    for (CandidatePool& pool : pools) merged.Merge(std::move(pool));
+    for (const Candidate& c : std::move(merged).TakeTopK()) {
+      const PairTask& pair = pairs[static_cast<size_t>(c.rank.pair)];
+      Explanation& e = result.explanations.emplace_back();
+      e.relevant_pattern = pair.relevant->pattern;
+      e.refinement_pattern = pair.refinement->pattern;
+      e.tuple_attrs = e.refinement_pattern.GroupAttrs();
+      e.tuple_values.reserve(static_cast<size_t>(e.tuple_attrs.size()));
+      for (int i = 0; i < e.tuple_attrs.size(); ++i) {
+        e.tuple_values.push_back(c.data->GetValue(c.rank.row, i));
+      }
+      e.agg_value = c.agg_value;
+      e.predicted = c.predicted;
+      e.deviation = c.agg_value - c.predicted;
+      e.distance = c.distance;
+      e.norm = pair.norm;
+      e.score = c.score;
+    }
     for (const ExplainProfile& profile : profiles) {
       result.profile.cpu_ns += profile.cpu_ns;
       result.profile.num_pairs_pruned += profile.num_pairs_pruned;

@@ -15,7 +15,8 @@
 namespace cape {
 
 struct ExplainConfig {
-  /// Number of explanations to return (top-k, Section 3.4).
+  /// Number of explanations to return (top-k, Section 3.4); at least 1, or
+  /// the generators and the baseline return InvalidArgument.
   int top_k = 10;
   /// Added to denominators (distance and NORM) to avoid division by zero
   /// (footnote 2 of the paper).
@@ -54,15 +55,22 @@ struct ExplainConfig {
 
 /// Counters for Figures 6a-6c and for tests of the pruning logic.
 ///
-/// `total_ns` is wall time; `cpu_ns` is the scoring work summed across
-/// workers and may exceed `total_ns` when num_threads > 1 (their ratio is
-/// the effective scoring parallelism). The work counters
-/// (num_tuples_checked, num_pairs_pruned, ...) are exact totals but — like
-/// any pruning statistic — can vary with thread count and timing, since a
-/// faster-rising shared floor prunes more; only the returned top-k is
-/// guaranteed identical.
+/// `total_ns` is wall time. It splits into three stages: `stage1_ns`
+/// (relevant patterns, NORMs and the sorted pair list, inline), the
+/// parallel scoring of the pairs, and `merge_ns` (merging the per-worker
+/// pools, the cut to k and building the returned Explanations, inline).
+/// Both stage times are wall time and their sum is at most `total_ns`; the
+/// scoring stage is the rest. `cpu_ns` is the scoring work summed across
+/// workers and may exceed `total_ns` when num_threads > 1 (its ratio to the
+/// scoring stage's wall time is the effective scoring parallelism). The
+/// work counters (num_tuples_checked, num_pairs_pruned, ...) are exact
+/// totals but — like any pruning statistic — can vary with thread count
+/// and timing, since a faster-rising shared floor prunes more; only the
+/// returned top-k is guaranteed identical.
 struct ExplainProfile {
   int64_t total_ns = 0;               // wall time of the whole request
+  int64_t stage1_ns = 0;              // wall: relevant patterns, NORMs, pair list
+  int64_t merge_ns = 0;               // wall: pool merge, cut, Explanations built
   int64_t cpu_ns = 0;                 // scoring time summed over workers
   int64_t num_relevant_patterns = 0;
   int64_t num_refinement_pairs = 0;   // (P, P') combinations considered

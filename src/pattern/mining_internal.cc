@@ -116,7 +116,8 @@ void FitFragmentCandidate(const Row& fragment, const std::vector<std::vector<dou
     if (!fit_result.ok()) return;
     fitted = std::move(fit_result).ValueOrDie();
   }
-  if (fitted->goodness_of_fit() < config.local_gof_threshold) return;
+  // A NaN goodness of fit (a fit over NaN aggregates) fails too.
+  if (!(fitted->goodness_of_fit() >= config.local_gof_threshold)) return;
 
   stats.num_holding += 1;
   LocalPattern local;

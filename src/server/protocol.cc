@@ -1,5 +1,8 @@
 #include "server/protocol.h"
 
+#include <limits>
+#include <string>
+
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -27,7 +30,10 @@ Status ApplyHeaderPair(std::string_view key, std::string_view value, Request* re
   }
   if (key == "top_k") {
     CAPE_ASSIGN_OR_RETURN(request->top_k, ParseInt64(value));
-    if (request->top_k < 0) return Status::InvalidArgument("top_k must be >= 0");
+    if (request->top_k < 0 || request->top_k > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("top_k must be in [0, " +
+                                     std::to_string(std::numeric_limits<int>::max()) + "]");
+    }
     return Status::OK();
   }
   return Status::InvalidArgument("unknown request header key '" + std::string(key) + "'");

@@ -33,7 +33,7 @@ struct Request {
   int64_t id = 0;             // echoed verbatim in the response
   std::string tenant = "default";
   int64_t deadline_ms = 0;    // 0 = server default
-  int64_t top_k = 0;          // 0 = statement / engine default
+  int64_t top_k = 0;          // 0 = statement / engine default; <= INT_MAX
   std::string statement;      // text after the header, unparsed
 };
 

@@ -1,5 +1,8 @@
 #include "sql/parser.h"
 
+#include <limits>
+#include <string>
+
 #include "common/macros.h"
 #include "sql/lexer.h"
 
@@ -215,7 +218,10 @@ class Parser {
     if (Accept("TOP")) {
       if (Peek().type != TokenType::kInteger) return Error("expected an integer after TOP");
       command.top_k = Advance().int_value;
-      if (*command.top_k <= 0) return Error("TOP must be positive");
+      if (*command.top_k <= 0 || *command.top_k > std::numeric_limits<int>::max()) {
+        return Error("TOP must be between 1 and " +
+                     std::to_string(std::numeric_limits<int>::max()));
+      }
     }
     return command;
   }

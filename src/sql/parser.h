@@ -59,7 +59,7 @@ struct ExplainWhyCommand {
   std::vector<std::string> group_by;
   std::vector<Value> group_values;
   std::string table;
-  std::optional<int64_t> top_k;
+  std::optional<int64_t> top_k;  // TOP n: 1 <= n <= INT_MAX
 };
 
 using Statement = std::variant<SelectQuery, ExplainWhyCommand>;

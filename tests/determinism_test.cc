@@ -10,6 +10,7 @@
 #include "datagen/dblp.h"
 #include "pattern/pattern_io.h"
 #include "relational/operators.h"
+#include "test_util.h"
 
 namespace cape {
 namespace {
@@ -278,6 +279,98 @@ TEST(ParallelEquivalenceTest, TruncatedParallelExplainIsSubsetOfUntimed) {
       auto it = best_scores.find(ExplanationKey(e));
       ASSERT_NE(it, best_scores.end()) << "tuple absent from untimed run";
       EXPECT_GE(it->second, e.score);
+    }
+  }
+}
+
+/// count(*) over eight authors with three publications in every venue and
+/// year, except in V1 2007, where A0 has one and every other author six. So
+/// the seven spikes (Ai, V1, 2007) tie exactly, and A0's other V1 years tie
+/// in two groups. Rows come author by author from A7 down, so within a
+/// pair the tied spikes arrive in descending key order: the one that wins
+/// the tie-break reaches a pool last, after it has filled.
+Engine MakeTiedEngine() {
+  auto table = MakeEmptyTable({Field{"author", DataType::kString, false},
+                               Field{"venue", DataType::kString, false},
+                               Field{"year", DataType::kInt64, false}});
+  for (int a = 7; a >= 0; --a) {
+    for (int v = 0; v < 3; ++v) {
+      for (int year = 2004; year <= 2009; ++year) {
+        int count = 3;
+        if (v == 0 && year == 2007) count = a == 0 ? 1 : 6;
+        for (int c = 0; c < count; ++c) {
+          EXPECT_TRUE(table
+                          ->AppendRow({Value::String("A" + std::to_string(a)),
+                                       Value::String("V" + std::to_string(v + 1)),
+                                       Value::Int64(year)})
+                          .ok());
+        }
+      }
+    }
+  }
+  Engine engine = std::move(Engine::FromTable(table)).ValueOrDie();
+  MiningConfig& mining = engine.mining_config();
+  mining.max_pattern_size = 3;
+  mining.local_gof_threshold = 0.0;
+  mining.local_support_threshold = 1;
+  mining.global_confidence_threshold = 0.0;
+  mining.global_support_threshold = 1;
+  mining.agg_functions = {AggFunc::kCount};
+  mining.model_types = {ModelType::kConst};
+  return engine;
+}
+
+TEST(ParallelEquivalenceTest, BoundedTopKIsPrefixOfFullRankingUnderTies) {
+  // Each worker's pool keeps only its k best tuples plus ties at the k-th
+  // score. The top-k must still be the first k answers of a ranking whose
+  // k exceeds the candidate count (a pool that never drops anything), on
+  // both generators, one-shot and through a session, at any thread count.
+  Engine engine = MakeTiedEngine();
+  ASSERT_TRUE(engine.MinePatterns().ok());
+  auto q = engine.MakeQuestion(
+      {"author", "venue", "year"},
+      {Value::String("A0"), Value::String("V1"), Value::Int64(2007)}, AggFunc::kCount,
+      "*", Direction::kLow);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  constexpr int kUnbounded = 1000000;
+  const int cuts[] = {1, 2, 3, 5, 10};
+
+  for (const bool optimized : {false, true}) {
+    // The tie-break between two pairs reaching one tuple follows the pair
+    // order, which differs between the generators: one ranking each.
+    engine.explain_config().top_k = kUnbounded;
+    engine.explain_config().num_threads = 1;
+    auto full = engine.Explain(*q, optimized);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_LT(full->profile.num_candidates, kUnbounded);
+    const std::vector<Explanation>& ranking = full->explanations;
+    ASSERT_GT(ranking.size(), 10u);
+    int tied_cuts = 0;
+    for (const int k : cuts) {
+      tied_cuts += ranking[k - 1].score == ranking[k].score ? 1 : 0;
+    }
+    ASSERT_GT(tied_cuts, 0) << "no exact tie straddles a cut; the check is vacuous";
+
+    for (const int k : cuts) {
+      ExplainResult prefix;
+      prefix.explanations.assign(ranking.begin(), ranking.begin() + k);
+      const std::string want = AnswerBytes(prefix, engine.schema());
+      engine.explain_config().top_k = k;
+      for (const int threads : {1, 2, 4, 8}) {
+        engine.explain_config().num_threads = threads;
+        const std::string context = "k=" + std::to_string(k) + " threads=" +
+                                    std::to_string(threads) +
+                                    " optimized=" + std::to_string(optimized);
+        auto one_shot = engine.Explain(*q, optimized);
+        ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+        EXPECT_EQ(AnswerBytes(*one_shot, engine.schema()), want)
+            << "one-shot " << context;
+        auto session = engine.MakeExplainSession();
+        ASSERT_TRUE(session.ok()) << session.status().ToString();
+        auto served = session->Explain(*q, optimized);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        EXPECT_EQ(AnswerBytes(*served, engine.schema()), want) << "session " << context;
+      }
     }
   }
 }

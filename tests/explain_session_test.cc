@@ -454,12 +454,10 @@ TEST(ExplainSessionTest, Int64KeysBeyondDoublePrecisionMatchOneShot) {
   EXPECT_GT(answered, 0) << "no question had an explanation; the check is vacuous";
 }
 
-TEST(ExplainSessionTest, NanMeasureScoresOnlyNumbers) {
-  // A summed double measure with ~2% NaN cells: a group sum that takes one
-  // is NaN, and so is a NORM or a local model fitted over such sums.
-  // Condition (5), the baseline's deviation test and the question finder's
-  // outlierness test are strict, and a NaN NORM adds no pairs, so every
-  // score and outlierness returned is a number, on every path.
+/// 3,000 rows of (a, b, yr, m), where m is a double measure with ~2% NaN
+/// cells: a group sum that takes one is NaN, and so is a NORM or a local
+/// model fitted over such sums.
+TablePtr NanMeasureTable() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::mt19937_64 rng(2019);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -475,22 +473,34 @@ TEST(ExplainSessionTest, NanMeasureScoresOnlyNumbers) {
     const bool is_nan = unit(rng) < 0.02;
     nan_cells += is_nan ? 1 : 0;
     const double m = is_nan ? nan : 10.0 + a + 2.0 * b + (yr - 2000) + 4.0 * unit(rng);
-    ASSERT_TRUE(table
+    EXPECT_TRUE(table
                     ->AppendRow({Value::String("a" + std::to_string(a)),
                                  Value::String("b" + std::to_string(b)), Value::Int64(yr),
                                  Value::Double(m)})
                     .ok());
   }
-  ASSERT_GT(nan_cells, 0);
+  EXPECT_GT(nan_cells, 0);
+  return table;
+}
+
+/// sum(m) over NanMeasureTable, with θ = 0.1.
+void SetNanMeasureMining(MiningConfig* mining) {
+  mining->max_pattern_size = 3;
+  mining->local_gof_threshold = 0.1;
+  mining->local_support_threshold = 3;
+  mining->global_confidence_threshold = 0.1;
+  mining->global_support_threshold = 2;
+  mining->agg_functions = {AggFunc::kSum};
+}
+
+TEST(ExplainSessionTest, NanMeasureScoresOnlyNumbers) {
+  // Condition (5), the baseline's deviation test and the question finder's
+  // outlierness test are strict, and a NaN NORM adds no pairs, so every
+  // score and outlierness returned is a number, on every path.
+  const TablePtr table = NanMeasureTable();
   auto engine = Engine::FromTable(table);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  MiningConfig& mining = engine->mining_config();
-  mining.max_pattern_size = 3;
-  mining.local_gof_threshold = 0.1;
-  mining.local_support_threshold = 3;
-  mining.global_confidence_threshold = 0.1;
-  mining.global_support_threshold = 2;
-  mining.agg_functions = {AggFunc::kSum};
+  SetNanMeasureMining(&engine->mining_config());
   ASSERT_TRUE(engine->MinePatterns().ok());
 
   const std::string path = TestTempPath("nan_measure.cape");
@@ -548,6 +558,43 @@ TEST(ExplainSessionTest, NanMeasureScoresOnlyNumbers) {
     EXPECT_FALSE(std::isnan(c.deviation)) << c.question.ToString();
   }
   std::remove(path.c_str());
+}
+
+TEST(ExplainSessionTest, NanMeasureMinesOnlyNumericGoodnessOfFit) {
+  // A local model fitted over NaN sums has a NaN goodness of fit, which must
+  // fail the θ test as any value below θ does: every local that every miner
+  // and the incremental maintainer keep has a GoF that is a number >= θ.
+  const TablePtr table = NanMeasureTable();
+  auto expect_numeric_gof = [](const Engine& engine, const std::string& context) {
+    int64_t locals = 0;
+    for (const GlobalPattern& gp : engine.patterns().patterns()) {
+      for (const LocalPattern& local : gp.locals) {
+        const double gof = local.model->goodness_of_fit();
+        EXPECT_FALSE(std::isnan(gof))
+            << context << " " << gp.pattern.ToString(engine.schema());
+        EXPECT_GE(gof, engine.mining_config().local_gof_threshold) << context;
+        locals += 1;
+      }
+    }
+    EXPECT_GT(locals, 0) << context << ": no local holds; the check is vacuous";
+  };
+  for (const char* miner : {"NAIVE", "CUBE", "SHARE-GRP", "ARP-MINE"}) {
+    auto engine = Engine::FromTable(table);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    SetNanMeasureMining(&engine->mining_config());
+    ASSERT_TRUE(engine->MinePatterns(miner).ok()) << miner;
+    expect_numeric_gof(*engine, miner);
+  }
+
+  auto grown = Engine::FromTable(NanMeasureTable());
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  SetNanMeasureMining(&grown->mining_config());
+  ASSERT_TRUE(grown->MinePatterns().ok());
+  std::vector<Row> rows;
+  for (int64_t row = 0; row < 300; ++row) rows.push_back(grown->table()->GetRow(row));
+  ASSERT_TRUE(grown->AppendAndRemine(rows).ok());
+  EXPECT_EQ(grown->run_stats().maint_full_remines, 0);  // the maintainer ran
+  expect_numeric_gof(*grown, "after an append");
 }
 
 TEST(ExplainSessionTest, RequiresMinedPatterns) {

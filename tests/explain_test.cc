@@ -3,6 +3,7 @@
 #include <cmath>
 #include <random>
 
+#include "core/engine.h"
 #include "explain/baseline.h"
 #include "explain/distance.h"
 #include "explain/explainer.h"
@@ -311,6 +312,53 @@ TEST(ExplainTest, TopKLimitsOutput) {
   // Scores are sorted descending.
   for (size_t i = 1; i < large->explanations.size(); ++i) {
     EXPECT_GE(large->explanations[i - 1].score, large->explanations[i].score);
+  }
+}
+
+TEST(ExplainTest, TopKBelowOneIsRejected) {
+  // top_k sizes the candidate pools and the baseline's cut; below 1 it is a
+  // caller error on every entry point, not a crash or an empty answer.
+  auto engine = Engine::FromTable(Example5Table());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  engine->mining_config() = Example5MiningConfig();
+  ASSERT_TRUE(engine->MinePatterns().ok());
+  const UserQuestion q = Phi0(engine->table());
+  for (const int k : {0, -1}) {
+    engine->explain_config().top_k = k;
+    for (const bool optimized : {false, true}) {
+      EXPECT_TRUE(engine->Explain(q, optimized).status().IsInvalidArgument())
+          << "top_k " << k << " optimized " << optimized;
+    }
+    auto session = engine->MakeExplainSession();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_TRUE(session->Explain(q).status().IsInvalidArgument()) << "top_k " << k;
+    EXPECT_TRUE(engine->ExplainBaseline(q).status().IsInvalidArgument()) << "top_k " << k;
+  }
+  engine->explain_config().top_k = 1;
+  auto one = engine->Explain(q);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one->explanations.size(), 1u);
+}
+
+TEST(ExplainTest, ProfileTimesStageOneAndTheMerge) {
+  auto table = Example5Table();
+  auto mined = MakeArpMiner()->Mine(*table, Example5MiningConfig());
+  ASSERT_TRUE(mined.ok());
+  UserQuestion q = Phi0(table);
+  DistanceModel distance = DistanceModel::MakeDefault(*table);
+  for (const int threads : {1, 4}) {
+    ExplainConfig config;
+    config.num_threads = threads;
+    for (auto make : {MakeNaiveExplainer, MakeOptimizedExplainer}) {
+      auto result = make()->Explain(q, mined->patterns, distance, config);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_FALSE(result->explanations.empty());
+      const ExplainProfile& profile = result->profile;
+      EXPECT_GT(profile.stage1_ns, 0) << threads << " threads";
+      EXPECT_GT(profile.merge_ns, 0) << threads << " threads";
+      EXPECT_LE(profile.stage1_ns + profile.merge_ns, profile.total_ns)
+          << threads << " threads";
+    }
   }
 }
 

@@ -54,6 +54,10 @@ TEST(ProtocolTest, ParseRequestLineDefaultsAndHeaders) {
   EXPECT_EQ(full->deadline_ms, 250);
   EXPECT_EQ(full->top_k, 3);
   EXPECT_EQ(full->statement, "SELECT author FROM pub");
+
+  auto widest = ParseRequestLine("[top_k=2147483647] ping");  // INT_MAX
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest->top_k, 2147483647);
 }
 
 TEST(ProtocolTest, ParseRequestLineRejectsMalformedInput) {
@@ -66,6 +70,9 @@ TEST(ProtocolTest, ParseRequestLineRejectsMalformedInput) {
   EXPECT_FALSE(ParseRequestLine("[id=xyz] ping").ok());      // bad int
   EXPECT_FALSE(ParseRequestLine("[deadline_ms=-1] ping").ok());
   EXPECT_FALSE(ParseRequestLine("[top_k=-2] ping").ok());
+  // top_k reaches the explainer as an int: no wrapping past INT_MAX.
+  EXPECT_FALSE(ParseRequestLine("[top_k=2147483648] ping").ok());
+  EXPECT_FALSE(ParseRequestLine("[top_k=4294967296] ping").ok());
   EXPECT_FALSE(ParseRequestLine("[tenant=] ping").ok());
 }
 
@@ -256,6 +263,29 @@ TEST_F(ServerTest, ExplainAnswersAreByteIdenticalAndRespectTopK) {
   Response capped = harness.Call(PlantedExplainLine("[id=2 top_k=1]"));
   ASSERT_EQ(capped.outcome, Outcome::kOk) << capped.error;
   EXPECT_EQ(CountScores(capped.payload_json), 1u);
+}
+
+TEST_F(ServerTest, TopKBeyondIntIsAStructuredError) {
+  ServerOptions options;
+  options.num_workers = 1;
+  ServerHarness harness(engine_, options);
+  // Header and TOP values past INT_MAX are parse errors; before, they were
+  // narrowed to an int and the request failed inside the explainer.
+  const std::string lines[] = {
+      PlantedExplainLine("[id=1 top_k=4294967295]"),
+      PlantedExplainLine("[id=2 top_k=4294967296]"),
+      PlantedExplainLine("[id=3]") + " TOP 4294967295",
+      PlantedExplainLine("[id=4]") + " TOP 4294967296",
+  };
+  for (const std::string& line : lines) {
+    Response response = harness.Call(line);
+    EXPECT_EQ(response.outcome, Outcome::kError) << line;
+    EXPECT_EQ(response.error.find("unexpected exception"), std::string::npos)
+        << line << ": " << response.error;
+  }
+  Response widest = harness.Call(PlantedExplainLine("[id=5]") + " TOP 2147483647");
+  ASSERT_EQ(widest.outcome, Outcome::kOk) << widest.error;
+  EXPECT_GE(CountScores(widest.payload_json), 1u);
 }
 
 TEST_F(ServerTest, QueueFullRejectsWithOverloaded) {
