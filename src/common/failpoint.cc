@@ -15,8 +15,8 @@ namespace cape::failpoint {
 namespace {
 
 /// Every fault-injection site compiled into the library. Keep in sync with
-/// the CAPE_FAILPOINT() lines and the one direct Trigger() call;
-/// failpoint_test iterates this list and forces a fault at each site in turn.
+/// the CAPE_FAILPOINT() lines; failpoint_test iterates this list and forces
+/// a fault at each site in turn.
 constexpr const char* kSites[] = {
     "csv.open",         // ReadCsvFile: file open / slurp
     "csv.read_row",     // ReadCsvString: per-record parse loop
@@ -29,7 +29,6 @@ constexpr const char* kSites[] = {
     "pattern_io.save",  // SavePatternSet file write
     "pattern_io.load",  // LoadPatternSet file read
     "storage.page_read",          // HeapFile::ReadPage: page IO / checksum verify
-    "incremental.merge",          // PatternMaintainer::Absorb: commit barrier (degrade)
 };
 
 struct Spec {

@@ -15,11 +15,6 @@
 /// letting tests prove that every stage converts injected faults into clean
 /// Status returns — no crash, no leak, no partial mutation.
 ///
-/// A site with *degrade* semantics — where the correct response to a fault
-/// is to absorb it (fall back to a full re-mine) rather than propagate it —
-/// calls Trigger(name) directly, behind the same AnyActive() fast path, and
-/// handles a non-OK Status inline.
-///
 /// With CAPE_ENABLE_FAILPOINTS=OFF at configure time the macro compiles to
 /// nothing. When compiled in but inactive (the production default) each
 /// site costs a single relaxed atomic load and a predictable branch.

@@ -29,71 +29,39 @@ Result<Engine> Engine::FromCsvFile(const std::string& path, const CsvReadOptions
 Status Engine::MinePatterns(const std::string& miner_name) {
   CAPE_ASSIGN_OR_RETURN(auto miner, MakeMinerByName(miner_name));
   CAPE_ASSIGN_OR_RETURN(MiningResult result, miner->Mine(*table_, mining_config_));
-  patterns_ = std::make_shared<const PatternSet>(std::move(result.patterns));
-  patterns_truncated_ = result.truncated;
-  mining_profile_ = result.profile;
-  run_stats_.mine_truncated = result.truncated;
-  run_stats_.mine_stop_reason = result.stop_reason;
+  Install(std::move(result));
   return Status::OK();
 }
 
 Status Engine::AppendAndRemine(const std::vector<Row>& rows,
                                const std::string& miner_name) {
-  // All-or-nothing: every row must validate before any is appended.
+  // All-or-nothing: the miner and every row must validate before any row is
+  // appended.
+  CAPE_ASSIGN_OR_RETURN(auto miner, MakeMinerByName(miner_name));
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->ValidateRow(row));
   for (const Row& row : rows) CAPE_RETURN_IF_ERROR(table_->AppendRow(row));
-  // The memo's γ tables miss the new rows, whatever maintenance returns
-  // below: later sessions get a fresh memo, and the sessions holding the
-  // old one reject every question.
+  // The memo's γ tables miss the new rows, whatever the mine returns below:
+  // later sessions get a fresh memo, and the sessions holding the old one
+  // reject every question.
   if (!rows.empty()) agg_memo_ = ExplainSession::MakeMemo(table_);
-  run_stats_.maint_appends += 1;
-  run_stats_.maint_rows_appended += static_cast<int64_t>(rows.size());
-
-  Status incremental = patterns_ == nullptr
-                           ? Status::InvalidArgument("no prior pattern set to maintain")
-                           : MaintainIncrementally(MiningConfigDigest(mining_config_));
-  if (incremental.ok()) return Status::OK();
-  // Deadline/cancellation: the rows are appended and the maintainer is still
-  // valid at its previous fold point — the pattern set is stale but intact,
-  // and the next AppendAndRemine catches up. Surface the stop.
-  if (incremental.IsStop()) return incremental;
-
-  // Degrade: drop maintenance state and re-mine the grown table from
-  // scratch. Never silently wrong — the fallback produces exactly what a
-  // cold mine of the current table produces.
-  maintainer_.reset();
-  run_stats_.maint_full_remines += 1;
-  return MinePatterns(miner_name);
+  CAPE_ASSIGN_OR_RETURN(MiningResult result, miner->Mine(*table_, mining_config_));
+  // A cut-short mine holds only part of the grown table's set. The previous
+  // set stays installed, stale but whole, and the next call mines all rows.
+  if (result.truncated) {
+    return result.stop_reason == StopReason::kCancelled
+               ? Status::Cancelled("re-mine cancelled")
+               : Status::DeadlineExceeded("re-mine deadline exceeded");
+  }
+  Install(std::move(result));
+  return Status::OK();
 }
 
-Status Engine::MaintainIncrementally(uint64_t config_digest) {
-  StopToken stop = mining_config_.MakeStopToken();
-  int64_t revalidated_before = 0;
-  int64_t added_before = 0;
-  int64_t replaced_before = 0;
-  if (maintainer_ != nullptr && maintainer_->config_digest() == config_digest) {
-    const MaintenanceStats& before = maintainer_->stats();
-    revalidated_before = before.candidates_revalidated;
-    added_before = before.locals_added;
-    replaced_before = before.locals_replaced;
-    CAPE_RETURN_IF_ERROR(maintainer_->Absorb(&stop));
-  } else {
-    maintainer_.reset();
-    CAPE_ASSIGN_OR_RETURN(maintainer_,
-                          PatternMaintainer::Build(table_, mining_config_, &stop));
-  }
-  patterns_ = std::make_shared<const PatternSet>(maintainer_->Finalize());
-  patterns_truncated_ = false;
-
-  const MaintenanceStats& after = maintainer_->stats();
-  const int64_t revalidated = after.candidates_revalidated - revalidated_before;
-  const int64_t touched_locals = (after.locals_added - added_before) +
-                                 (after.locals_replaced - replaced_before);
-  int64_t retained = patterns_->NumLocalPatterns() - touched_locals;
-  if (retained < 0) retained = 0;
-  run_stats_.maint_patterns_revalidated += revalidated;
-  run_stats_.maint_patterns_retained += retained;
-  return Status::OK();
+void Engine::Install(MiningResult result) {
+  patterns_ = std::make_shared<const PatternSet>(std::move(result.patterns));
+  patterns_truncated_ = result.truncated;
+  mining_profile_ = result.profile;
+  run_stats_.mine_truncated = result.truncated;
+  run_stats_.mine_stop_reason = result.stop_reason;
 }
 
 Status Engine::CheckSavable() const {

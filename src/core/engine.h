@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "explain/baseline.h"
-#include "pattern/incremental.h"
 #include "explain/explain_session.h"
 #include "explain/explainer.h"
 #include "pattern/mining.h"
@@ -17,29 +16,15 @@
 
 namespace cape {
 
-/// The counters only the engine keeps: whether the last mine was cut short,
-/// and the incremental-maintenance totals. Every other counter lives with
-/// the module that does the work — mining_profile(), ExplainResult::profile,
-/// CsvParseReport, the table's PageSource::stats() and
-/// RequestScheduler::stats() (DESIGN.md §8 maps each to its STATS key).
-/// Only MinePatterns and AppendAndRemine write these.
+/// The counter only the engine keeps: whether the last mine was cut short.
+/// Every other counter lives with the module that does the work —
+/// mining_profile(), ExplainResult::profile, CsvParseReport, the table's
+/// PageSource::stats() and RequestScheduler::stats() (DESIGN.md §8 maps each
+/// to its STATS key).
 struct RunStats {
-  // Last MinePatterns call.
+  // The last mine installed by MinePatterns or AppendAndRemine.
   bool mine_truncated = false;
   StopReason mine_stop_reason = StopReason::kNone;
-
-  // Incremental maintenance, cumulative over AppendAndRemine calls
-  // (DESIGN.md §16). `maint_patterns_revalidated` counts (fragment,
-  // candidate) combinations re-fitted because an append touched their group
-  // keys; `maint_patterns_retained` counts local patterns carried into the
-  // new set verbatim, without any re-fit — the incremental win.
-  // `maint_full_remines` counts calls that fell back to a from-scratch mine
-  // (unsupported config or an injected/real maintenance fault).
-  int64_t maint_appends = 0;
-  int64_t maint_rows_appended = 0;
-  int64_t maint_patterns_revalidated = 0;
-  int64_t maint_patterns_retained = 0;
-  int64_t maint_full_remines = 0;
 };
 
 /// The CAPE system facade: load a relation, mine aggregate regression
@@ -105,20 +90,15 @@ class Engine {
   /// also NAIVE, CUBE, SHARE-GRP). Replaces any previously mined patterns.
   Status MinePatterns(const std::string& miner_name = "ARP-MINE");
 
-  /// Appends `rows` to the relation and brings the mined pattern set up to
-  /// date incrementally (DESIGN.md §16): a PatternMaintainer folds only the
-  /// delta, re-validating exactly the fragments whose group keys the new
-  /// rows touch, and the result is byte-identical to re-mining the grown
-  /// table from scratch. Falls back to a full re-mine — counted in
-  /// run_stats().maint_full_remines — when the config is not maintainable
-  /// (FD optimizations, paged tables), no patterns were mined yet, or
-  /// maintenance itself fails. On a deadline/cancellation stop the rows
-  /// stay appended, the stop Status is returned, and the maintainer remains
-  /// valid at its previous fold point: the pattern set is stale but intact,
-  /// and the next call catches up. All rows are validated against the
-  /// schema before any is appended. Non-const like MinePatterns: callers
-  /// must serialize this against the const serving surface (the server's
-  /// APPEND verb does).
+  /// Appends `rows` to the relation and re-mines the grown table with the
+  /// named miner (DESIGN.md §16). All rows are validated against the schema,
+  /// and the miner name resolved, before any row is appended. The γ memo is
+  /// replaced once rows are appended. A mine that a deadline or cancellation
+  /// cuts short installs nothing: the rows stay appended, the previous
+  /// pattern set stays installed, and the stop Status is returned; the next
+  /// call mines all rows. Non-const like MinePatterns: callers must
+  /// serialize this against the const serving surface (the server's APPEND
+  /// verb does).
   Status AppendAndRemine(const std::vector<Row>& rows,
                          const std::string& miner_name = "ARP-MINE");
 
@@ -145,11 +125,12 @@ class Engine {
 
   bool has_patterns() const { return patterns_ != nullptr; }
   const PatternSet& patterns() const { return *patterns_; }
-  /// Time and counters of the last MinePatterns call.
+  /// Time and counters of the last mine installed by MinePatterns or
+  /// AppendAndRemine.
   const MiningProfile& mining_profile() const { return mining_profile_; }
 
-  /// What the last MinePatterns call and every AppendAndRemine call counted
-  /// (see RunStats for where the other counters live).
+  /// Whether the last installed mine was cut short (see RunStats for where
+  /// the other counters live).
   const RunStats& run_stats() const { return run_stats_; }
 
   /// Builds a validated user question against this engine's relation.
@@ -181,9 +162,8 @@ class Engine {
  private:
   explicit Engine(TablePtr table);
 
-  /// The incremental path of AppendAndRemine: ensure a maintainer exists for
-  /// the current config, absorb the delta, and publish the finalized set.
-  Status MaintainIncrementally(uint64_t config_digest);
+  /// Makes `result` the mined pattern set, with its profile and stop state.
+  void Install(MiningResult result);
 
   /// OK when patterns_ exists and came from no truncated mine.
   Status CheckSavable() const;
@@ -196,9 +176,6 @@ class Engine {
   /// patterns_ came from a mine that stopped early; saving it is refused.
   bool patterns_truncated_ = false;
   MiningProfile mining_profile_;
-  /// Lazily built by AppendAndRemine; reset when the mining config digest
-  /// diverges or maintenance degrades to a full re-mine.
-  std::unique_ptr<PatternMaintainer> maintainer_;
   /// The γ memo of table_ at its current row count, handed to every
   /// session; AppendAndRemine replaces it once rows are appended.
   std::shared_ptr<explain_internal::AggDataCache> agg_memo_;

@@ -12,6 +12,7 @@ namespace cape {
 Result<std::vector<CandidateQuestion>> FindCandidateQuestions(
     TablePtr table, const PatternSet& patterns, const QuestionFinderOptions& options) {
   if (table == nullptr) return Status::InvalidArgument("table must not be null");
+  if (options.top_k < 1) return Status::InvalidArgument("top_k must be at least 1");
 
   struct Hit {
     Pattern pattern;

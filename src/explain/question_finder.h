@@ -25,7 +25,7 @@ struct CandidateQuestion {
 };
 
 struct QuestionFinderOptions {
-  /// Number of questions to return.
+  /// Number of questions to return; at least 1 (InvalidArgument otherwise).
   int top_k = 10;
   /// Minimum |deviation| / (|prediction|+1) for a tuple to be considered.
   double min_outlierness = 0.3;

@@ -89,7 +89,7 @@ struct MiningConfig {
 /// lifecycle knobs (num_threads, deadline_ms, cancel_token) are explicitly
 /// excluded — they never change an untruncated result (DESIGN.md §9), so
 /// a stored pattern set stays valid across them. The binary store records it
-/// in its header, and PatternMaintainer checks it before an incremental fold.
+/// in its header.
 uint64_t MiningConfigDigest(const MiningConfig& config);
 
 /// Time attribution for Figure 4 plus counters used in tests/benches.

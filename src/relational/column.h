@@ -138,8 +138,7 @@ class Column {
 
   /// Three-way order of rows a and b of this column under Value::Compare,
   /// read without boxing: NULL first, int64 exactly, doubles by
-  /// CompareDoubles, strings lexicographically. The one cell comparator of
-  /// SortTable and the pattern maintainer.
+  /// CompareDoubles, strings lexicographically. SortTable's cell comparator.
   int CompareRows(int64_t a, int64_t b) const;
 
   /// Minimum / maximum as Values; Null when the column is all-null/empty.

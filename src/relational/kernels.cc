@@ -7,8 +7,8 @@
 // masks compact into selection vectors, dense group keys pack a block at a
 // time, and the fused FilterGroupAggregate feeds aggregates straight from
 // the chunks — no materialized intermediate, no per-row std::function.
-// Every grouped scan, and IncrementalGroupBy, runs on one group table: one
-// first-seen registry, one open-addressing index, and the sinks over them.
+// Every grouped scan runs on one group table: one first-seen registry, one
+// open-addressing index, and the sinks over them.
 //
 // Byte identity across residencies: every kernel visits rows in ascending
 // global order, numbers groups in first-seen order (any injective keying
@@ -32,7 +32,6 @@
 #include <limits>
 #include <numeric>
 #include <string>
-#include <string_view>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -507,25 +506,10 @@ class GroupTable {
     return blocks_[b].data() + slot * num_aggs_;
   }
 
-  /// First row of group `g` (resident rows only).
-  int64_t first_row(size_t g) const { return first_rows_[g]; }
-
   /// Key value `k` (group_cols[k]) of group `g`.
   Value KeyValue(size_t g, size_t k) const {
     if (table_.rows_resident()) return table_.GetValue(first_rows_[g], group_cols_[k]);
     return boxed_keys_[g][k];
-  }
-
-  /// Drops groups [n, size()).
-  void Truncate(size_t n) {
-    first_rows_.resize(std::min(first_rows_.size(), n));
-    boxed_keys_.resize(std::min(boxed_keys_.size(), n));
-    const auto [b, slot] = Locate(n);
-    if (b < blocks_.size()) {
-      blocks_[b].resize(slot * num_aggs_);
-      blocks_.resize(b + 1);
-    }
-    size_ = n;
   }
 
  private:
@@ -551,8 +535,6 @@ class GroupTable {
 /// (hash, group) slots with linear probing, so a probe costs one cache-miss
 /// chain instead of a node walk. Keys whose full hashes collide occupy
 /// separate slots on one probe chain; the caller's `eq` confirms a hit.
-/// Erase leaves a tombstone: only a discarded IncrementalGroupBy fold
-/// erases, so buildup is negligible and any growth rehash drops them.
 class GroupSlotIndex {
  public:
   static constexpr size_t kNotFound = static_cast<size_t>(-1);
@@ -566,7 +548,7 @@ class GroupSlotIndex {
     while (true) {
       const Slot& s = slots_[idx];
       if (s.group == kEmpty) return kNotFound;
-      if (s.group != kTombstone && s.hash == hash && eq(s.group)) return s.group;
+      if (s.hash == hash && eq(s.group)) return s.group;
       idx = (idx + 1) & mask_;
     }
   }
@@ -579,18 +561,9 @@ class GroupSlotIndex {
   void Insert(uint64_t hash, size_t group) {
     if ((used_ + 1) * 2 > slots_.size()) Grow();
     size_t idx = static_cast<size_t>(hash) & mask_;
-    while (slots_[idx].group != kEmpty && slots_[idx].group != kTombstone) {
-      idx = (idx + 1) & mask_;
-    }
-    if (slots_[idx].group == kEmpty) used_ += 1;  // tombstone reuse keeps used_
+    while (slots_[idx].group != kEmpty) idx = (idx + 1) & mask_;
+    used_ += 1;
     slots_[idx] = Slot{hash, group};
-  }
-
-  /// Removes the slot holding `group` (which must be present under `hash`).
-  void Erase(uint64_t hash, size_t group) {
-    size_t idx = static_cast<size_t>(hash) & mask_;
-    while (slots_[idx].group != group) idx = (idx + 1) & mask_;
-    slots_[idx].group = kTombstone;
   }
 
   /// Pre-sizes for ~n live groups to amortize growth rehashes across a fold.
@@ -602,7 +575,6 @@ class GroupSlotIndex {
 
  private:
   static constexpr size_t kEmpty = static_cast<size_t>(-1);
-  static constexpr size_t kTombstone = static_cast<size_t>(-2);
   struct Slot {
     uint64_t hash;
     size_t group;
@@ -616,7 +588,7 @@ class GroupSlotIndex {
     mask_ = cap - 1;
     used_ = 0;
     for (const Slot& s : old) {
-      if (s.group == kEmpty || s.group == kTombstone) continue;
+      if (s.group == kEmpty) continue;
       size_t idx = static_cast<size_t>(s.hash) & mask_;
       while (slots_[idx].group != kEmpty) idx = (idx + 1) & mask_;
       slots_[idx] = s;
@@ -626,7 +598,7 @@ class GroupSlotIndex {
 
   std::vector<Slot> slots_;
   size_t mask_ = 0;
-  size_t used_ = 0;  // slots consumed (live + tombstones)
+  size_t used_ = 0;  // occupied slots
 };
 
 /// Dense-key group lookup via a direct-address array — one vector access
@@ -675,8 +647,8 @@ struct HashSink {
 };
 
 /// Groups keyed by GroupKeyEncoder bytes — the grouping kernel's keys when
-/// the dense plan cannot pack them, and IncrementalGroupBy's: the index over
-/// the keys' hashes, with every group's key kept to settle hash collisions.
+/// the dense plan cannot pack them: the index over the keys' hashes, with
+/// every group's key kept to settle hash collisions.
 class KeyedGroups {
  public:
   KeyedGroups(const Table& table, const std::vector<int>& group_cols)
@@ -684,11 +656,6 @@ class KeyedGroups {
 
   /// Pre-sizes the index for ~n groups.
   void Reserve(size_t n) { index_.Reserve(n); }
-
-  std::string_view key(size_t g) const {
-    const size_t w = encoder_.key_width();
-    return std::string_view(keys_).substr(g * w, w);
-  }
 
   /// Writes the group of view-local row rows[j] of `view` to gids[j] for
   /// j < n, registering new groups in `groups` in row order. Rows go in
@@ -721,15 +688,6 @@ class KeyedGroups {
         gids[base + j] = g;
       }
     }
-  }
-
-  /// Drops the index entries and keys of groups [n, ...).
-  void Truncate(size_t n) {
-    const size_t w = encoder_.key_width();
-    for (size_t g = n; g * w < keys_.size(); ++g) {
-      index_.Erase(HashBytes(keys_.data() + g * w, w), g);
-    }
-    keys_.resize(n * w);
   }
 
  private:
@@ -1176,200 +1134,6 @@ Result<TablePtr> FilterGroupAggregate(const Table& table,
     CAPE_RETURN_IF_ERROR(out->AppendRow(out_row));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// IncrementalGroupBy: the byte-keyed group table, kept alive across appends.
-
-struct IncrementalGroupBy::Impl {
-  Impl(TablePtr t, std::vector<int> cols, std::vector<AggregateSpec> specs)
-      : table(std::move(t)),
-        group_cols(std::move(cols)),
-        aggs(std::move(specs)),
-        plans(CompileAggPlans(*table, aggs)),
-        groups(*table, group_cols, aggs.size()),
-        keys(*table, group_cols) {}
-
-  /// Ends the staged fold once it is committed or rolled back.
-  void EndFold() {
-    for (int64_t g : touched) {
-      if (static_cast<size_t>(g) < in_fold.size()) in_fold[static_cast<size_t>(g)] = 0;
-    }
-    touched.clear();
-    undo.clear();
-    staging = false;
-  }
-
-  TablePtr table;
-  std::vector<int> group_cols;
-  std::vector<AggregateSpec> aggs;
-  std::vector<AggPlan> plans;
-  GroupTable groups;  // the committed groups, then the staged fold's new ones
-  KeyedGroups keys;
-  int64_t rows_folded = 0;
-  size_t committed = 0;  // groups [0, committed) are committed
-
-  // The staged fold updates states in place. The undo log holds the
-  // pre-fold states of each committed group it touched, saved at the first
-  // touch: one entry per committed id in `touched`, in that order.
-  bool staging = false;
-  int64_t staged_end = 0;
-  std::vector<int64_t> touched;  // first-touch order
-  std::vector<uint8_t> in_fold;  // [group] 1 once the staged fold touched it
-  std::vector<AggState> undo;    // [entry * naggs + agg]
-};
-
-IncrementalGroupBy::IncrementalGroupBy(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-
-IncrementalGroupBy::~IncrementalGroupBy() = default;
-
-Result<std::unique_ptr<IncrementalGroupBy>> IncrementalGroupBy::Make(
-    TablePtr table, std::vector<int> group_cols, std::vector<AggregateSpec> aggs) {
-  if (table == nullptr) {
-    return Status::InvalidArgument("IncrementalGroupBy requires a table");
-  }
-  if (!table->rows_resident()) {
-    return Status::InvalidArgument("IncrementalGroupBy requires resident rows");
-  }
-  if (group_cols.empty()) {
-    return Status::InvalidArgument("IncrementalGroupBy requires group columns");
-  }
-  for (int c : group_cols) CAPE_RETURN_IF_ERROR(ValidateColumnIndex(*table, c));
-  for (const AggregateSpec& spec : aggs) {
-    CAPE_RETURN_IF_ERROR(ValidateAggSpec(*table, spec));
-  }
-  auto impl =
-      std::make_unique<Impl>(std::move(table), std::move(group_cols), std::move(aggs));
-  return std::unique_ptr<IncrementalGroupBy>(new IncrementalGroupBy(std::move(impl)));
-}
-
-int64_t IncrementalGroupBy::rows_folded() const { return impl_->rows_folded; }
-
-int64_t IncrementalGroupBy::num_groups() const {
-  return static_cast<int64_t>(impl_->committed);
-}
-
-Status IncrementalGroupBy::PrepareFold(int64_t end_row, StopToken* stop) {
-  Impl& im = *impl_;
-  if (im.staging) {
-    return Status::InvalidArgument("PrepareFold with a fold already staged");
-  }
-  if (end_row < im.rows_folded || end_row > im.table->num_rows()) {
-    return Status::OutOfRange("fold end " + std::to_string(end_row) +
-                              " outside [" + std::to_string(im.rows_folded) + ", " +
-                              std::to_string(im.table->num_rows()) + "]");
-  }
-  im.staging = true;
-  im.staged_end = end_row;
-  // The grouping kernel's sizing heuristic: a quarter of the fold's rows on
-  // top of the live groups avoids nearly all growth rehashes.
-  im.keys.Reserve(im.committed + static_cast<size_t>(end_row - im.rows_folded) / 4);
-  const Table& table = *im.table;
-  const size_t na = im.aggs.size();
-  // The table grows between folds, so its chunk views are taken per fold.
-  const std::vector<ColumnChunk> chunks = table.ResidentChunks();
-  const PageView view{0, table.num_rows(), chunks.data()};
-  int64_t rows[kKernelBlockSize];
-  size_t gids[kKernelBlockSize];
-  for (int64_t b = im.rows_folded; b < end_row; b += kKernelBlockSize) {
-    const int64_t n = std::min<int64_t>(kKernelBlockSize, end_row - b);
-    std::iota(rows, rows + n, b);
-    im.keys.Lookup(view, rows, n, &im.groups, gids);
-    im.in_fold.resize(im.groups.size());
-    for (int64_t j = 0; j < n; ++j) {
-      const size_t g = gids[j];
-      AggState* states = im.groups.states(g);
-      if (im.in_fold[g] == 0) {
-        im.in_fold[g] = 1;
-        im.touched.push_back(static_cast<int64_t>(g));
-        if (g < im.committed) im.undo.insert(im.undo.end(), states, states + na);
-      }
-      UpdateWithPlans(table, im.plans, view.cols, rows[j], states);
-    }
-    // Stops are honoured between blocks; a stop rolls the fold back.
-    if (b + n < end_row && stop != nullptr && stop->ShouldStopNow()) {
-      DiscardFold();
-      return stop->ToStatus();
-    }
-  }
-  return Status::OK();
-}
-
-const std::vector<int64_t>& IncrementalGroupBy::staged_touched() const {
-  return impl_->touched;
-}
-
-int64_t IncrementalGroupBy::RepresentativeRow(int64_t group) const {
-  return impl_->groups.first_row(static_cast<size_t>(group));
-}
-
-std::string_view IncrementalGroupBy::GroupKey(int64_t group) const {
-  return impl_->keys.key(static_cast<size_t>(group));
-}
-
-void IncrementalGroupBy::AggregateNumericBatch(const int64_t* groups, size_t n,
-                                               size_t agg_idx, double* out,
-                                               uint8_t* valid) const {
-  const Impl& im = *impl_;
-  // The compiled plan already resolved (function, column type); only avg
-  // and sum share a kind.
-  const AggPlan& plan = im.plans[agg_idx];
-  const bool avg = im.aggs[agg_idx].func == AggFunc::kAvg;
-  // Cells come in fragment order, not group order: prefetching a few groups
-  // ahead hides the random-access miss on their states.
-  constexpr size_t kLookahead = 8;
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kLookahead < n) {
-      __builtin_prefetch(im.groups.states(static_cast<size_t>(groups[i + kLookahead])));
-    }
-    const AggState& state = im.groups.states(static_cast<size_t>(groups[i]))[agg_idx];
-    const double mean = state.dsum / static_cast<double>(state.count);
-    valid[i] = state.count != 0;
-    switch (plan.kind) {
-      case AggKind::kCountStar:
-      case AggKind::kCountCol:
-        out[i] = static_cast<double>(state.count);
-        valid[i] = 1;
-        break;
-      case AggKind::kSumInt64:
-        out[i] = avg ? mean : static_cast<double>(state.isum);
-        break;
-      case AggKind::kSumDouble:
-        out[i] = avg ? mean : state.dsum;
-        break;
-      case AggKind::kMin:
-        out[i] = state.min_value.AsDouble();
-        break;
-      case AggKind::kMax:
-        out[i] = state.max_value.AsDouble();
-        break;
-    }
-  }
-}
-
-void IncrementalGroupBy::CommitFold() {
-  Impl& im = *impl_;
-  if (!im.staging) return;
-  im.rows_folded = im.staged_end;
-  im.committed = im.groups.size();
-  im.EndFold();
-}
-
-void IncrementalGroupBy::DiscardFold() {
-  Impl& im = *impl_;
-  if (!im.staging) return;
-  const size_t na = im.aggs.size();
-  auto saved = im.undo.begin();
-  for (int64_t g : im.touched) {
-    if (static_cast<size_t>(g) >= im.committed) continue;
-    std::move(saved, saved + static_cast<int64_t>(na), im.groups.states(static_cast<size_t>(g)));
-    saved += static_cast<int64_t>(na);
-  }
-  im.keys.Truncate(im.committed);
-  im.groups.Truncate(im.committed);
-  im.in_fold.resize(im.committed);
-  im.EndFold();
 }
 
 }  // namespace cape

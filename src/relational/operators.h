@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -146,8 +145,7 @@ Result<TablePtr> Cube(const Table& table, const std::vector<int>& cube_cols,
 ///
 /// Rows are read from ColumnChunk arrays, one chunk per table column: a
 /// resident table's arrays or a pinned page of an out-of-core one. This is
-/// the key of the grouping kernels' byte-keyed groups and of
-/// IncrementalGroupBy.
+/// the key of the grouping kernels' byte-keyed groups.
 class GroupKeyEncoder {
  public:
   GroupKeyEncoder(const Table& table, std::vector<int> cols);
@@ -159,82 +157,10 @@ class GroupKeyEncoder {
   /// Bytes in every key.
   size_t key_width() const { return offsets_.back(); }
 
-  /// Byte offset of cols[k]'s cell in a key; the cell ends at
-  /// cell_offset(k + 1), and cell_offset(cols.size()) == key_width().
-  size_t cell_offset(size_t k) const { return offsets_[k]; }
-
  private:
   std::vector<int> cols_;
   std::vector<DataType> types_;
   std::vector<size_t> offsets_;
-};
-
-/// Incrementally maintained GROUP BY: the grouping kernel's byte-keyed group
-/// table (kernels.cc) kept alive across appends to a resident table. It
-/// folds newly appended rows without rescanning the prefix; the table's
-/// column arrays move as it grows, so each fold takes fresh chunk views.
-///
-/// Groups are numbered in first-seen row order, exactly as GroupByAggregate
-/// discovers them, and each group's state is produced by the same sequential
-/// fold over its rows — so RepresentativeRow and AggregateNumericBatch
-/// reproduce the corresponding GroupByAggregate output byte-for-byte at
-/// every fold point. PatternMaintainer builds its group tables on this.
-///
-/// Folds are transactional: PrepareFold folds the delta in place and keeps
-/// an undo log (the pre-fold states of each committed group it touches);
-/// CommitFold drops the log; DiscardFold restores the logged states and
-/// drops the fold's new groups, leaving the instance exactly as before
-/// PrepareFold. Between the two, the accessors read the folded state, so
-/// callers can evaluate the would-be post-append state before deciding to
-/// commit. Not thread-safe; the table must outlive this object and must only
-/// grow (appends) between folds.
-class IncrementalGroupBy {
- public:
-  static Result<std::unique_ptr<IncrementalGroupBy>> Make(
-      TablePtr table, std::vector<int> group_cols, std::vector<AggregateSpec> aggs);
-  ~IncrementalGroupBy();
-  IncrementalGroupBy(const IncrementalGroupBy&) = delete;
-  IncrementalGroupBy& operator=(const IncrementalGroupBy&) = delete;
-
-  /// Rows [0, rows_folded()) are committed into the group states.
-  int64_t rows_folded() const;
-
-  /// Committed group count (excludes the staged fold's new groups).
-  int64_t num_groups() const;
-
-  /// Stages the fold of rows [rows_folded(), end_row). Requires no staging
-  /// in progress and rows_folded() <= end_row <= table->num_rows(). A stop
-  /// is honoured between blocks of kKernelBlockSize rows; on stop (or any
-  /// error) the partial fold is discarded and committed state is untouched.
-  Status PrepareFold(int64_t end_row, StopToken* stop = nullptr);
-
-  /// Group ids whose state the staged fold changes or creates, in
-  /// first-touch order. Ids >= num_groups() are the fold's new groups.
-  const std::vector<int64_t>& staged_touched() const;
-
-  /// First table row of `group`.
-  int64_t RepresentativeRow(int64_t group) const;
-
-  /// The GroupKeyEncoder key of `group` over the group columns.
-  std::string_view GroupKey(int64_t group) const;
-
-  /// Finalized aggregate `agg_idx` of groups[i], as a double, into out[i],
-  /// with valid[i] = 0 where it finalizes to NULL: the AsDouble() of the
-  /// GroupByAggregate cell. One call per fragment — the finalize mode is
-  /// resolved once and upcoming groups' states are prefetched.
-  void AggregateNumericBatch(const int64_t* groups, size_t n, size_t agg_idx,
-                             double* out, uint8_t* valid) const;
-
-  /// Publishes the staged fold. Infallible: it only drops the undo log.
-  void CommitFold();
-
-  /// Drops the staged fold, restoring the pre-PrepareFold state.
-  void DiscardFold();
-
- private:
-  struct Impl;
-  explicit IncrementalGroupBy(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace cape

@@ -3,7 +3,7 @@
 
 // Argument validation and aggregate output types, shared between the
 // operators (operators.cc) and the scan kernels (kernels.cc, which hold the
-// group table, the aggregate-state arithmetic and IncrementalGroupBy).
+// group table and the aggregate-state arithmetic).
 
 #include "relational/operators.h"
 #include "relational/table.h"

@@ -32,10 +32,21 @@ void AdmissionController::RefillLocked(TenantState* tenant, int64_t now_ns) cons
                config_.tenant_bytes_per_sec * config_.burst_seconds);
 }
 
+bool AdmissionController::TenantGatesOn() const {
+  return config_.per_tenant_max_in_system > 0 || config_.tenant_time_ms_per_sec > 0 ||
+         config_.tenant_bytes_per_sec > 0;
+}
+
 AdmissionDecision AdmissionController::Admit(const std::string& tenant, int64_t now_ns) {
   MutexLock lock(mu_);
   if (in_system_ >= config_.max_in_system) {
     return AdmissionDecision{AdmissionDecision::Kind::kOverloaded, 0};
+  }
+  // Tenant names come off the wire: with no per-tenant gate, keep no state
+  // for them.
+  if (!TenantGatesOn()) {
+    ++in_system_;
+    return AdmissionDecision{AdmissionDecision::Kind::kAdmit, 0};
   }
   TenantState& state = tenants_[tenant];
   RefillLocked(&state, now_ns);
@@ -66,6 +77,7 @@ void AdmissionController::Release(const std::string& tenant, int64_t now_ns,
                                   double time_spent_ms, int64_t bytes_out) {
   MutexLock lock(mu_);
   if (in_system_ > 0) --in_system_;
+  if (!TenantGatesOn()) return;
   TenantState& state = tenants_[tenant];
   RefillLocked(&state, now_ns);
   if (state.in_system > 0) --state.in_system;
@@ -78,6 +90,11 @@ void AdmissionController::Release(const std::string& tenant, int64_t now_ns,
 int AdmissionController::in_system() const {
   MutexLock lock(mu_);
   return in_system_;
+}
+
+size_t AdmissionController::tracked_tenants() const {
+  MutexLock lock(mu_);
+  return tenants_.size();
 }
 
 }  // namespace cape::server

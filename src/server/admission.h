@@ -63,6 +63,9 @@ class AdmissionController {
   /// Requests currently in the system (admitted, not yet released).
   int in_system() const CAPE_EXCLUDES(mu_);
 
+  /// Tenants with budget state; none unless a per-tenant gate is on.
+  size_t tracked_tenants() const CAPE_EXCLUDES(mu_);
+
  private:
   struct TenantState {
     double time_tokens_ms = 0.0;
@@ -71,6 +74,9 @@ class AdmissionController {
     int in_system = 0;
     bool initialized = false;
   };
+
+  /// True when a per-tenant cap or budget is configured.
+  bool TenantGatesOn() const;
 
   /// Refills both buckets for elapsed time since the last refill.
   void RefillLocked(TenantState* tenant, int64_t now_ns) const CAPE_REQUIRES(mu_);

@@ -39,18 +39,12 @@ std::string CountersJson(
 std::string StatsJson(const Engine& engine, const RequestScheduler::Stats& s) {
   const PageSource* pages = engine.table()->page_source().get();
   const PageSourceStats p = pages != nullptr ? pages->stats() : PageSourceStats{};
-  const RunStats& r = engine.run_stats();
   const int64_t patterns =
       engine.has_patterns() ? static_cast<int64_t>(engine.patterns().size()) : 0;
   return "{\"engine\":" +
          CountersJson({{"patterns_mined", patterns}, {"page_hits", p.hits},
                        {"page_misses", p.misses}, {"page_evictions", p.evictions},
-                       {"page_bytes_pinned", p.bytes_pinned},
-                       {"maint_appends", r.maint_appends},
-                       {"maint_rows_appended", r.maint_rows_appended},
-                       {"maint_patterns_revalidated", r.maint_patterns_revalidated},
-                       {"maint_patterns_retained", r.maint_patterns_retained},
-                       {"maint_full_remines", r.maint_full_remines}}) +
+                       {"page_bytes_pinned", p.bytes_pinned}}) +
          ",\"scheduler\":" +
          CountersJson({{"submitted", s.submitted}, {"ok", s.ok}, {"degraded", s.degraded},
                        {"truncated", s.truncated}, {"shed", s.shed},
@@ -239,7 +233,7 @@ Response RequestScheduler::ExecuteAppend(const Pending& pending) {
 
     const Status status = mutable_engine_->AppendAndRemine(rows);
     if (status.IsStop()) {
-      // Rows are in, maintenance was cut short: the pattern set is stale but
+      // Rows are in, the re-mine was cut short: the pattern set is stale but
       // intact, and the next append (or mine) catches up. Surface that as a
       // truncated success, mirroring deadline-truncated explains.
       response.outcome = Outcome::kTruncated;
@@ -252,16 +246,11 @@ Response RequestScheduler::ExecuteAppend(const Pending& pending) {
       response.error = status.message();
       return response;
     }
-    const RunStats& stats = mutable_engine_->run_stats();
     response.outcome = Outcome::kOk;
     response.payload_json = CountersJson(
         {{"rows_appended", static_cast<int64_t>(rows.size())},
          {"total_rows", mutable_engine_->table()->num_rows()},
-         {"patterns", static_cast<int64_t>(mutable_engine_->patterns().size())},
-         {"maint_appends", stats.maint_appends},
-         {"maint_patterns_revalidated", stats.maint_patterns_revalidated},
-         {"maint_patterns_retained", stats.maint_patterns_retained},
-         {"maint_full_remines", stats.maint_full_remines}});
+         {"patterns", static_cast<int64_t>(mutable_engine_->patterns().size())}});
     return response;
   } catch (const std::exception& e) {
     response.outcome = Outcome::kError;

@@ -68,7 +68,7 @@ class RequestScheduler {
   ///
   /// `mutable_engine`, when non-null, must point at the same engine and
   /// enables the APPEND verb ("APPEND <csv-rows>", ';' separating rows):
-  /// rows are appended and patterns incrementally re-mined via
+  /// rows are appended and the grown table re-mined via
   /// Engine::AppendAndRemine. Appends run under a write-preferring gate that
   /// excludes every concurrent Execute (the engine's mutating surface is not
   /// re-entrant); readers admitted after the append observe the grown table
@@ -122,9 +122,9 @@ class RequestScheduler {
 
   /// Serves one APPEND statement (caller holds the write gate). Parses the
   /// CSV payload against the engine schema, appends all-or-nothing, and
-  /// re-mines incrementally. kOk carries the maintenance counters; a
+  /// re-mines. kOk carries the appended, total and pattern counts; a
   /// deadline/cancel stop maps to kTruncated (rows appended, patterns stale
-  /// until the next successful maintenance pass).
+  /// until the next complete re-mine).
   Response ExecuteAppend(const Pending& pending);
 
   /// Reader/writer gate between Execute (shared) and ExecuteAppend

@@ -37,7 +37,7 @@ struct ServerOptions {
   /// TCP only: port to bind (0 = ephemeral, see CapeServer::port()).
   int port = 0;
   /// When set (must alias the ctor's engine), enables the APPEND verb:
-  /// "APPEND <csv>;<csv>..." appends rows and incrementally re-mines,
+  /// "APPEND <csv>;<csv>..." appends rows and re-mines the grown table,
   /// serialized against all concurrent reads by the scheduler's write gate.
   /// Null keeps the server read-only (APPEND returns a structured error).
   Engine* mutable_engine = nullptr;

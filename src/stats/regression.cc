@@ -186,48 +186,6 @@ std::string LinearRegression::ToString() const {
   return out;
 }
 
-double RegressionMoments::ConstBeta() const {
-  return n == 0 ? 0.0 : sy / static_cast<double>(n);
-}
-
-double RegressionMoments::ConstGof() const {
-  if (n < 2) return 1.0;
-  const double beta = ConstBeta();
-  const double nd = static_cast<double>(n);
-  // SSE = Σ(y - beta)² = syy - n·beta² (since Σy = n·beta); rounding can
-  // drive the algebraic form slightly negative on near-constant data.
-  const double sse = std::max(0.0, syy - nd * beta * beta);
-  double gof;
-  if (sse == 0.0) {
-    gof = 1.0;
-  } else if (beta > 0.0) {
-    gof = ChiSquareSf(sse / beta, nd - 1.0);
-  } else {
-    const double rmse = std::sqrt(sse / nd);
-    gof = 1.0 / (1.0 + rmse / (std::fabs(beta) + 1.0));
-  }
-  return std::clamp(gof, 0.0, 1.0);
-}
-
-Result<RegressionMoments::Line> RegressionMoments::FitLine() const {
-  if (n == 0) {
-    return Status::InvalidArgument("line fit requires at least one sample");
-  }
-  const double nd = static_cast<double>(n);
-  const double x_mean = sx / nd;
-  const double y_mean = sy / nd;
-  const double var_x = std::max(0.0, sxx - nd * x_mean * x_mean);
-  Line line;
-  if (var_x == 0.0) {
-    line.intercept = y_mean;
-    return line;
-  }
-  const double cov_xy = sxy - nd * x_mean * y_mean;
-  line.slope = cov_xy / var_x;
-  line.intercept = y_mean - line.slope * x_mean;
-  return line;
-}
-
 Result<std::unique_ptr<RegressionModel>> FitRegression(
     ModelType type, const std::vector<std::vector<double>>& X,
     const std::vector<double>& y) {

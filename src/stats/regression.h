@@ -117,65 +117,6 @@ Result<std::unique_ptr<RegressionModel>> FitRegression(
     ModelType type, const std::vector<std::vector<double>>& X,
     const std::vector<double>& y);
 
-/// Mergeable sufficient statistics for the ARP model fits: raw moments
-/// (n, Σx, Σy, Σx², Σy², Σxy) of one (x, y) stream. Moments of disjoint row
-/// sets ADD, so append-only maintainers and the sampled miner's error
-/// bounds can fold batches — or merge per-batch accumulators — without
-/// revisiting rows, which a fitted RegressionModel cannot do.
-///
-/// The derived quantities are algebraic re-expressions of the batch
-/// formulas used by ConstantRegression/LinearRegression::Fit (equal up to
-/// floating-point rounding, NOT bit-identical — stats_incremental_test pins
-/// the ulp bounds). Byte-identity-critical paths (PatternMaintainer's
-/// refits) therefore re-run FitRegression on the materialized vectors and
-/// use moments only for statistics and bounds.
-struct RegressionMoments {
-  int64_t n = 0;
-  double sx = 0.0;
-  double sy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  double sxy = 0.0;
-
-  void Add(double x, double y) {
-    ++n;
-    sx += x;
-    sy += y;
-    sxx += x * x;
-    syy += y * y;
-    sxy += x * y;
-  }
-
-  /// Folds `other` in, as if its stream had been appended to this one.
-  /// Exactly associative and commutative up to floating-point rounding.
-  void Merge(const RegressionMoments& other) {
-    n += other.n;
-    sx += other.sx;
-    sy += other.sy;
-    sxx += other.sxx;
-    syy += other.syy;
-    sxy += other.sxy;
-  }
-
-  /// Constant-model parameter: mean of y (0 when empty).
-  double ConstBeta() const;
-
-  /// Constant-model goodness of fit from moments alone, mirroring
-  /// ConstantRegression::Fit's rules: 1.0 for n < 2 or zero y-variance; the
-  /// chi-square p-value of sum(((y-beta)/beta)^2) = syy/beta^2 - n for
-  /// beta > 0; the RMSE fallback otherwise. Clamped to [0, 1].
-  double ConstGof() const;
-
-  /// Single-predictor least-squares line y = intercept + slope*x from the
-  /// closed-form moment solution. InvalidArgument when n == 0; a degenerate
-  /// design (zero x-variance) yields slope 0 with the mean as intercept.
-  struct Line {
-    double intercept = 0.0;
-    double slope = 0.0;
-  };
-  Result<Line> FitLine() const;
-};
-
 }  // namespace cape
 
 #endif  // CAPE_STATS_REGRESSION_H_

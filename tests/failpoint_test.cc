@@ -10,7 +10,6 @@
 #include "core/engine.h"
 #include "datagen/dblp.h"
 #include "pattern/mining.h"
-#include "pattern/pattern_io.h"
 #include "relational/catalog.h"
 #include "relational/csv.h"
 #include "relational/kernels.h"
@@ -45,7 +44,7 @@ TEST(FailpointTest, EnvVarArmsASite) {
 TEST(FailpointTest, InactiveByDefaultAndSitesRegistered) {
   EXPECT_FALSE(failpoint::AnyActive());
   const std::vector<std::string> sites = failpoint::AllSites();
-  EXPECT_EQ(sites.size(), 12u);
+  EXPECT_EQ(sites.size(), 11u);
   // A clean run is unaffected by the framework being compiled in.
   EXPECT_TRUE(ReadCsvString("a,b\n1,2\n").ok());
 }
@@ -238,12 +237,6 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
     return fx.engine.SavePatterns(TestTempPath("failpoint_out.patterns"));
   }
   if (site == "pattern_io.load") return fx.engine.LoadPatterns(fx.patterns_path);
-  if (site == "incremental.merge") {
-    // The fault fires at the maintainer's commit barrier; AppendAndRemine
-    // must absorb it by re-mining from scratch — append durable, patterns
-    // correct, no error surfaced.
-    return fx.engine.AppendAndRemine({fx.table->GetRow(0)});
-  }
   if (site == "storage.page_read") {
     const std::string path = TestTempPath("failpoint_heap.cape");
     CAPE_RETURN_IF_ERROR(WriteTableToHeapFile(*fx.table, path));
@@ -255,10 +248,6 @@ Status DriveSite(const std::string& site, PipelineFixture& fx) {
   return Status::Internal("no driver for failpoint site '" + site + "'");
 }
 
-/// Sites whose correct response to a fault is to absorb it (fall back to a
-/// full re-mine) rather than propagate an error.
-bool IsDegradeSite(const std::string& site) { return site == "incremental.merge"; }
-
 TEST(FailpointTest, EverySiteConvertsInjectedFaultIntoCleanStatus) {
   PipelineFixture fx = MakeFixture();
 
@@ -266,12 +255,8 @@ TEST(FailpointTest, EverySiteConvertsInjectedFaultIntoCleanStatus) {
     failpoint::ScopedFailpoint fp(site);
     ASSERT_TRUE(fp.activation_status().ok()) << site;
     Status st = DriveSite(site, fx);
-    if (IsDegradeSite(site)) {
-      EXPECT_TRUE(st.ok()) << site << ": " << st.ToString();
-    } else {
-      EXPECT_TRUE(st.IsIOError()) << site << ": " << st.ToString();
-      EXPECT_NE(st.message().find("injected fault"), std::string::npos) << site;
-    }
+    EXPECT_TRUE(st.IsIOError()) << site << ": " << st.ToString();
+    EXPECT_NE(st.message().find("injected fault"), std::string::npos) << site;
   }
 
   // All sites disarmed again: every stage succeeds.
@@ -289,6 +274,12 @@ TEST(FailpointTest, FaultedMiningLeavesEnginePatternsIntact) {
   EXPECT_FALSE(fx.engine.MinePatterns("SHARE-GRP").ok());
   ASSERT_TRUE(fx.engine.has_patterns());
   EXPECT_EQ(fx.engine.patterns().size(), before);
+
+  // APPEND's re-mine fails the same way: the row lands, the set stays.
+  const int64_t rows = fx.table->num_rows();
+  EXPECT_TRUE(fx.engine.AppendAndRemine({fx.table->GetRow(0)}).IsIOError());
+  EXPECT_EQ(fx.table->num_rows(), rows + 1);
+  EXPECT_EQ(fx.engine.patterns().size(), before);
 }
 
 TEST(FailpointTest, FaultedSaveDoesNotCreateTheFile) {
@@ -299,37 +290,6 @@ TEST(FailpointTest, FaultedSaveDoesNotCreateTheFile) {
   failpoint::ScopedFailpoint fp("pattern_io.save");
   EXPECT_TRUE(fx.engine.SavePatterns(path).IsIOError());
   EXPECT_FALSE(std::ifstream(path).good());
-}
-
-TEST(FailpointTest, PoisonedIncrementalMergeDegradesToFullRemine) {
-  PipelineFixture fx = MakeFixture();
-  const std::vector<Row> delta = {fx.table->GetRow(0), fx.table->GetRow(1)};
-
-  // Reference: a second engine over a regenerated copy of the same data mines
-  // the grown table from scratch — the poisoned maintenance pass must land
-  // exactly here.
-  DblpOptions options;
-  options.num_rows = 6000;
-  auto reference_table = GenerateDblp(options);
-  ASSERT_TRUE(reference_table.ok());
-  auto reference = Engine::FromTable(*reference_table);
-  ASSERT_TRUE(reference.ok());
-  reference->mining_config() = SmallMiningConfig();
-  for (const Row& row : delta) ASSERT_TRUE((*reference_table)->AppendRow(row).ok());
-  ASSERT_TRUE(reference->MinePatterns("ARP-MINE").ok());
-
-  {
-    failpoint::ScopedFailpoint fp("incremental.merge");
-    Status st = fx.engine.AppendAndRemine(delta);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-  }
-  EXPECT_EQ(fx.engine.run_stats().maint_full_remines, 1);
-  EXPECT_EQ(SerializePatternSet(fx.engine.patterns(), fx.engine.schema()),
-            SerializePatternSet(reference->patterns(), reference->schema()));
-
-  // Disarmed: the next append maintains incrementally (no further re-mine).
-  ASSERT_TRUE(fx.engine.AppendAndRemine({fx.table->GetRow(2)}).ok());
-  EXPECT_EQ(fx.engine.run_stats().maint_full_remines, 1);
 }
 
 }  // namespace

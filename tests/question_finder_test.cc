@@ -104,6 +104,23 @@ TEST(QuestionFinderTest, TopKCapsAndValidatesQuestions) {
   EXPECT_EQ((*provenance)->num_rows(), static_cast<int64_t>(q.result_value));
 }
 
+TEST(QuestionFinderTest, TopKBelowOneIsRejected) {
+  auto table = ShopTable();
+  auto mined = MakeArpMiner()->Mine(*table, ShopMiningConfig());
+  ASSERT_TRUE(mined.ok());
+  for (int top_k : {0, -1}) {
+    QuestionFinderOptions options;
+    options.top_k = top_k;
+    EXPECT_TRUE(FindCandidateQuestions(table, mined->patterns, options)
+                    .status()
+                    .IsInvalidArgument())
+        << top_k;
+    EXPECT_TRUE(
+        FindCandidateQuestions(table, PatternSet(), options).status().IsInvalidArgument())
+        << top_k;
+  }
+}
+
 TEST(QuestionFinderTest, EmptyPatternsAndNullTable) {
   auto table = ShopTable();
   auto none = FindCandidateQuestions(table, PatternSet(), {});

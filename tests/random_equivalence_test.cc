@@ -13,9 +13,8 @@
 //     form) is byte-identical to the freshly mined one.
 //  3. Mining the out-of-core twin gives the in-memory pattern set at every
 //     thread count.
-//  4. Incremental maintenance lands on the pattern set of a cold mine, and
-//     its group tables (IncrementalGroupBy) on the reference γ after every
-//     fold, with stopped and discarded folds leaving no trace.
+//  4. A table grown through APPEND (Engine::AppendAndRemine) holds the
+//     pattern set, and gives the top-k answers, of a cold mine of all rows.
 //  5. One-shot explanation with t'[F] = t[F] pushed below γ and an
 //     ExplainSession over whole γ tables, each over the resident table and
 //     over its paged copy, return byte-identical top-k answers at any
@@ -29,15 +28,12 @@
 
 #include <cstdio>
 #include <limits>
-#include <map>
-#include <numeric>
 #include <random>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "core/engine.h"
 #include "pattern/mining.h"
 #include "pattern/pattern_io.h"
@@ -375,20 +371,17 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, PagedRandomEquivalenceTest,
                          });
 
 // ---------------------------------------------------------------------------
-// Incremental maintenance vs from-scratch mining (DESIGN.md §16).
+// APPEND vs from-scratch mining (DESIGN.md §16).
 //
 // The oracle: a base prefix of a random table mined once, then grown through
 // Engine::AppendAndRemine under several append schedules, must serialize the
 // exact same pattern set — and produce the exact same top-k explanations —
-// as a cold mine of the full table, across scratch-miner thread counts, and
-// against a paged twin of the grown table. maint_full_remines is pinned to
-// zero so a silent fallback to re-mining (which would also pass the byte
-// comparison) cannot masquerade as incremental maintenance.
+// as a cold mine of the full table.
 // ---------------------------------------------------------------------------
 
-MiningConfig OracleMiningConfig(int max_pattern_size) {
+MiningConfig OracleMiningConfig() {
   MiningConfig config;
-  config.max_pattern_size = max_pattern_size;
+  config.max_pattern_size = 3;
   config.local_gof_threshold = 0.05;
   config.local_support_threshold = 2;
   config.global_confidence_threshold = 0.1;
@@ -397,7 +390,7 @@ MiningConfig OracleMiningConfig(int max_pattern_size) {
   return config;
 }
 
-/// Fold points for the append schedules: element 0 is the base size mined
+/// Table sizes for the append schedules: element 0 is the base size mined
 /// cold; each later element is the table size after one AppendAndRemine.
 std::vector<std::vector<int64_t>> AppendSchedules(int64_t n) {
   const int64_t one_pct = std::max<int64_t>(1, n / 100);
@@ -408,7 +401,7 @@ std::vector<std::vector<int64_t>> AppendSchedules(int64_t n) {
       {n - 1, n},        // a single appended row
       {n - one_pct, n},  // a 1% batch
       {n / 2, n},        // a 50% batch
-      repeated,          // many small batches, Absorb after each
+      repeated,          // many small batches, a re-mine after each
   };
 }
 
@@ -424,9 +417,8 @@ TablePtr PrefixTable(const TablePtr& pool, int64_t size) {
 
 /// Mines rows [0, schedule.front()) cold, then replays the schedule through
 /// AppendAndRemine. Returns the engine so callers can also explain on it.
-Result<Engine> GrowIncrementally(const TablePtr& pool,
-                                 const std::vector<int64_t>& schedule,
-                                 const MiningConfig& config) {
+Result<Engine> GrowByAppends(const TablePtr& pool, const std::vector<int64_t>& schedule,
+                             const MiningConfig& config) {
   CAPE_ASSIGN_OR_RETURN(Engine engine, Engine::FromTable(PrefixTable(pool, schedule[0])));
   engine.mining_config() = config;
   CAPE_RETURN_IF_ERROR(engine.MinePatterns("ARP-MINE"));
@@ -440,105 +432,48 @@ Result<Engine> GrowIncrementally(const TablePtr& pool,
   return engine;
 }
 
-Result<Engine> MineScratch(const TablePtr& pool, int64_t size, const MiningConfig& config,
-                           int threads) {
+Result<Engine> MineScratch(const TablePtr& pool, int64_t size, const MiningConfig& config) {
   CAPE_ASSIGN_OR_RETURN(Engine engine, Engine::FromTable(PrefixTable(pool, size)));
   engine.mining_config() = config;
-  engine.set_num_threads(threads);
   CAPE_RETURN_IF_ERROR(engine.MinePatterns("ARP-MINE"));
   return engine;
 }
 
+/// A table grown in steps through AppendAndRemine against one cold mine of
+/// all its rows.
 class IncrementalVsScratchTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalVsScratchTest, AppendSchedulesMatchScratch) {
   TablePtr pool = MakeRandomTable(GetParam());
   const int64_t n = pool->num_rows();
-  const MiningConfig config = OracleMiningConfig(3);
+  const MiningConfig config = OracleMiningConfig();
 
-  auto scratch = MineScratch(pool, n, config, /*threads=*/1);
+  auto scratch = MineScratch(pool, n, config);
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   const std::string want = SerializePatternSet(scratch->patterns(), scratch->schema());
 
   for (const std::vector<int64_t>& schedule : AppendSchedules(n)) {
-    auto grown = GrowIncrementally(pool, schedule, config);
+    auto grown = GrowByAppends(pool, schedule, config);
     ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-    EXPECT_EQ(grown->run_stats().maint_full_remines, 0)
-        << "fell back to re-mining (seed " << GetParam() << ", base " << schedule[0] << ")";
     EXPECT_EQ(SerializePatternSet(grown->patterns(), grown->schema()), want)
         << "seed " << GetParam() << " base " << schedule[0] << " steps "
         << schedule.size() - 1;
   }
 }
 
-TEST_P(IncrementalVsScratchTest, MaintainedSetMatchesScratchAcrossThreadCounts) {
-  TablePtr pool = MakeRandomTable(GetParam());
-  const int64_t n = pool->num_rows();
-  const MiningConfig config = OracleMiningConfig(3);
-
-  // The many-small-batches schedule is the one with the most maintained
-  // state; the scratch side sweeps thread counts (byte identity must be
-  // thread-count-invariant; on a single-hardware-thread host this still
-  // exercises the work-splitting paths).
-  auto grown = GrowIncrementally(pool, AppendSchedules(n)[3], config);
-  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-  const std::string maintained =
-      SerializePatternSet(grown->patterns(), grown->schema());
-
-  for (int threads : {1, 2, 4, 8}) {
-    auto scratch = MineScratch(pool, n, config, threads);
-    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-    EXPECT_EQ(maintained, SerializePatternSet(scratch->patterns(), scratch->schema()))
-        << "seed " << GetParam() << " threads " << threads;
-  }
-}
-
-TEST_P(IncrementalVsScratchTest, MaintainedSetMatchesScratchMineOfPagedTwin) {
-  TablePtr pool = MakeRandomTable(GetParam());
-  const int64_t n = pool->num_rows();
-  // max_pattern_size 2 mirrors the paged-mining precedent above (the paged
-  // scan re-reads pages per query; depth 3 buys no extra coverage here).
-  const MiningConfig config = OracleMiningConfig(2);
-
-  auto grown = GrowIncrementally(pool, AppendSchedules(n)[1], config);
-  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-
-  // Spill the grown table to a heap file and scratch-mine the non-resident
-  // twin: incremental maintenance on resident arrays must land on the same
-  // bytes as a cold out-of-core mine of the same content.
-  const std::string path =
-      TestTempPath("incr_paged_" + std::to_string(GetParam()) + ".cape");
-  ASSERT_TRUE(WriteTableToHeapFile(*grown->table(), path, /*rows_per_page=*/2048).ok());
-  auto paged = OpenPagedTable(path, /*budget_bytes=*/1 << 17);
-  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
-  auto twin = Engine::FromTable(*paged);
-  ASSERT_TRUE(twin.ok());
-  twin->mining_config() = config;
-  // ARP-MINE, not NAIVE: the maintained set mirrors the ARP evaluation
-  // order bit-for-bit, and the two miners agree only up to the last ulp of
-  // the deviation statistics (their fold orders differ). Storage is the
-  // subject here, so the twin runs the same algorithm out-of-core.
-  ASSERT_TRUE(twin->MinePatterns("ARP-MINE").ok());
-
-  EXPECT_EQ(SerializePatternSet(grown->patterns(), grown->schema()),
-            SerializePatternSet(twin->patterns(), twin->schema()))
-      << "seed " << GetParam();
-  std::remove(path.c_str());
-}
-
 TEST_P(IncrementalVsScratchTest, TopKExplanationsMatchScratchAfterAppends) {
   TablePtr pool = MakeRandomTable(GetParam());
   const int64_t n = pool->num_rows();
-  const MiningConfig config = OracleMiningConfig(3);
+  const MiningConfig config = OracleMiningConfig();
 
-  auto grown = GrowIncrementally(pool, AppendSchedules(n)[2], config);
+  auto grown = GrowByAppends(pool, AppendSchedules(n)[2], config);
   ASSERT_TRUE(grown.ok()) << grown.status().ToString();
-  auto scratch = MineScratch(pool, n, config, /*threads=*/1);
+  auto scratch = MineScratch(pool, n, config);
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
 
   // One question per direction, anchored at the first group with both
   // grouping attributes present. The full rendered top-k must match — the
-  // explanation pipeline consumes the maintained pattern set downstream, so
+  // explanation pipeline consumes the grown engine's pattern set, so
   // any divergence the serialization comparison missed would surface here.
   Value cat, city;
   bool found = false;
@@ -566,177 +501,6 @@ TEST_P(IncrementalVsScratchTest, TopKExplanationsMatchScratchAfterAppends) {
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalVsScratchTest,
-                         ::testing::Values(7u, 21u, 42u, 99u, 1337u, 2026u),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "seed" + std::to_string(info.param);
-                         });
-
-// ---------------------------------------------------------------------------
-// IncrementalGroupBy vs the reference evaluator (DESIGN.md §16).
-//
-// The maintainer's group tables fold appended rows in place and keep an undo
-// log until the fold commits. After every committed fold, each group's
-// first row and finalized aggregates must equal γ over the folded prefix as
-// reference_eval.h derives it, bit for bit; a fold stopped mid-way and a
-// discarded fold must leave every value as it was.
-// ---------------------------------------------------------------------------
-
-/// One row per group: its first row, then each aggregate as
-/// AggregateNumericBatch reads it — the finalized value's double, or NULL.
-using GroupRows = std::vector<Row>;
-
-GroupRows Observed(const IncrementalGroupBy& groups, size_t num_aggs) {
-  const size_t n = static_cast<size_t>(groups.num_groups());
-  std::vector<int64_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0);
-  GroupRows out(n);
-  for (size_t g = 0; g < n; ++g) {
-    out[g].push_back(Value::Int64(groups.RepresentativeRow(static_cast<int64_t>(g))));
-  }
-  std::vector<double> values(n);
-  std::vector<uint8_t> valid(n);
-  for (size_t a = 0; a < num_aggs; ++a) {
-    groups.AggregateNumericBatch(ids.data(), n, a, values.data(), valid.data());
-    for (size_t g = 0; g < n; ++g) {
-      out[g].push_back(valid[g] != 0 ? Value::Double(values[g]) : Value::Null());
-    }
-  }
-  return out;
-}
-
-/// The same rows for γ over rows [0, end) of `pool`, from the reference.
-GroupRows Expected(const TablePtr& pool, int64_t end, const std::vector<int>& cols,
-                   const std::vector<AggregateSpec>& aggs) {
-  const TablePtr prefix = PrefixTable(pool, end);
-  const reference::Rows gamma = reference::GroupBy(*prefix, {}, cols, aggs);
-  std::map<Row, int64_t, reference::RowLess> first_rows;
-  GroupRows out;
-  for (int64_t r = 0; r < end; ++r) {
-    if (first_rows.emplace(reference::Projection(*prefix, r, cols), r).second) {
-      out.push_back({Value::Int64(r)});
-    }
-  }
-  EXPECT_EQ(out.size(), gamma.size());
-  for (size_t g = 0; g < out.size() && g < gamma.size(); ++g) {
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      const Value& v = gamma[g][cols.size() + a];
-      out[g].push_back(v.is_null() ? Value::Null() : Value::Double(v.AsDouble()));
-    }
-  }
-  return out;
-}
-
-::testing::AssertionResult SameGroups(const GroupRows& got, const GroupRows& want) {
-  if (got.size() != want.size()) {
-    return ::testing::AssertionFailure()
-           << "got " << got.size() << " groups, want " << want.size();
-  }
-  for (size_t g = 0; g < got.size(); ++g) {
-    for (size_t c = 0; c < got[g].size() && c < want[g].size(); ++c) {
-      if (!reference::SameValue(got[g][c], want[g][c])) {
-        return ::testing::AssertionFailure() << "group " << g << " cell " << c << ": got "
-                                             << got[g][c].ToString() << ", want "
-                                             << want[g][c].ToString();
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-/// Rows r of the result are rows r % pool.num_rows() of `pool`: a relation
-/// long enough for a fold to span several kernel blocks.
-TablePtr Cycled(const TablePtr& pool, int64_t size) {
-  auto table = std::make_shared<Table>(pool->schema());
-  for (int64_t r = 0; r < size; ++r) {
-    EXPECT_TRUE(table->AppendRow(pool->GetRow(r % pool->num_rows())).ok());
-  }
-  return table;
-}
-
-class IncrementalGroupByVsReferenceTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(IncrementalGroupByVsReferenceTest, CommittedFoldsMatchReference) {
-  TablePtr pool = MakeRandomTable(GetParam());
-  const int64_t n = pool->num_rows();
-  const std::vector<AggregateSpec> aggs = AllAggregates();
-  // The fixed append schedules plus a random one. The table runs a few rows
-  // ahead of each fold, so a fold covers a prefix of the table, and its
-  // column arrays move between folds as they grow.
-  std::mt19937_64 rng(GetParam());
-  std::vector<std::vector<int64_t>> schedules = AppendSchedules(n);
-  std::vector<int64_t> random_points;
-  for (int64_t end = 0; end < n;) {
-    end = std::min<int64_t>(n, end + 1 + static_cast<int64_t>(rng() % 40));
-    random_points.push_back(end);
-  }
-  schedules.push_back(random_points);
-  for (const std::vector<int>& cols : AllGroupSets()) {
-    for (const std::vector<int64_t>& schedule : schedules) {
-      TablePtr table = PrefixTable(pool, 0);
-      auto groups = IncrementalGroupBy::Make(table, cols, aggs);
-      ASSERT_TRUE(groups.ok()) << groups.status().ToString();
-      for (int64_t end : schedule) {
-        const int64_t grown = std::min<int64_t>(n, end + static_cast<int64_t>(rng() % 4));
-        for (int64_t r = table->num_rows(); r < grown; ++r) {
-          ASSERT_TRUE(table->AppendRow(pool->GetRow(r)).ok());
-        }
-        ASSERT_TRUE((*groups)->PrepareFold(end).ok());
-        (*groups)->CommitFold();
-        ASSERT_EQ((*groups)->rows_folded(), end);
-        EXPECT_TRUE(SameGroups(Observed(**groups, aggs.size()), Expected(pool, end, cols, aggs)))
-            << "seed " << GetParam() << " group set " << cols.front() << "/" << cols.size()
-            << " fold end " << end;
-      }
-    }
-  }
-}
-
-TEST_P(IncrementalGroupByVsReferenceTest, StoppedAndDiscardedFoldsChangeNothing) {
-  TablePtr pool = MakeRandomTable(GetParam());
-  const int64_t base = pool->num_rows() / 4;
-  // A delta spanning more than two blocks, whose first block both creates
-  // groups and touches committed ones.
-  TablePtr cycled = Cycled(pool, base + 2 * kKernelBlockSize + 1);
-  const std::vector<AggregateSpec> aggs = AllAggregates();
-  for (const std::vector<int>& cols : AllGroupSets()) {
-    TablePtr table = PrefixTable(cycled, base);
-    auto made = IncrementalGroupBy::Make(table, cols, aggs);
-    ASSERT_TRUE(made.ok()) << made.status().ToString();
-    IncrementalGroupBy& groups = **made;
-    ASSERT_TRUE(groups.PrepareFold(base).ok());
-    groups.CommitFold();
-    for (int64_t r = base; r < cycled->num_rows(); ++r) {
-      ASSERT_TRUE(table->AppendRow(cycled->GetRow(r)).ok());
-    }
-    const GroupRows before = Observed(groups, aggs.size());
-
-    // A cancelled token stops the fold after its first block.
-    CancellationSource source;
-    source.RequestCancel();
-    StopToken stop(Deadline::Infinite(), source.token());
-    const Status stopped = groups.PrepareFold(table->num_rows(), &stop);
-    EXPECT_TRUE(stopped.IsStop()) << stopped.ToString();
-    EXPECT_TRUE(groups.staged_touched().empty());
-    EXPECT_EQ(groups.rows_folded(), base);
-    EXPECT_TRUE(SameGroups(Observed(groups, aggs.size()), before)) << "after a stopped fold";
-
-    // A whole fold, then DiscardFold.
-    ASSERT_TRUE(groups.PrepareFold(table->num_rows()).ok());
-    EXPECT_FALSE(groups.staged_touched().empty());
-    groups.DiscardFold();
-    EXPECT_EQ(groups.rows_folded(), base);
-    EXPECT_TRUE(SameGroups(Observed(groups, aggs.size()), before)) << "after DiscardFold";
-
-    // Neither left a trace behind: the next fold lands on the reference.
-    ASSERT_TRUE(groups.PrepareFold(table->num_rows()).ok());
-    groups.CommitFold();
-    EXPECT_TRUE(SameGroups(Observed(groups, aggs.size()),
-                           Expected(cycled, cycled->num_rows(), cols, aggs)))
-        << "seed " << GetParam() << " group set " << cols.front() << "/" << cols.size();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(FixedSeeds, IncrementalGroupByVsReferenceTest,
                          ::testing::Values(7u, 21u, 42u, 99u, 1337u, 2026u),
                          [](const ::testing::TestParamInfo<uint64_t>& info) {
                            return "seed" + std::to_string(info.param);
@@ -797,7 +561,7 @@ TEST_P(RandomEquivalenceTest, OneShotSessionAndPagedExplainAgree) {
   TablePtr table = MakeRandomTable(GetParam());
   auto resident = Engine::FromTable(table);
   ASSERT_TRUE(resident.ok()) << resident.status().ToString();
-  resident->mining_config() = OracleMiningConfig(3);
+  resident->mining_config() = OracleMiningConfig();
   ASSERT_TRUE(resident->MinePatterns("ARP-MINE").ok());
 
   const std::string path = TestTempPath("explain_" + std::to_string(GetParam()) + ".cape");

@@ -25,6 +25,8 @@
 #include "common/mutex.h"
 #include "core/engine.h"
 #include "datagen/dblp.h"
+#include "pattern/pattern_io.h"
+#include "server/admission.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "storage/heap_file.h"
@@ -110,6 +112,22 @@ TEST(ProtocolTest, OutcomeClassification) {
   EXPECT_FALSE(IsAnswer(Outcome::kRetryAfter));
   EXPECT_FALSE(IsAnswer(Outcome::kError));
   EXPECT_STREQ(OutcomeToString(Outcome::kShed), "shed");
+}
+
+// ---------------------------------------------------------------------------
+// Admission
+
+TEST(AdmissionTest, DefaultConfigKeepsNoStatePerTenant) {
+  // Tenant names come off the wire; with no per-tenant gate configured,
+  // admitting and releasing any number of them leaves nothing behind.
+  AdmissionController admission(AdmissionConfig{});
+  for (int i = 0; i < 10000; ++i) {
+    const std::string tenant = "tenant-" + std::to_string(i);
+    ASSERT_EQ(admission.Admit(tenant, i).kind, AdmissionDecision::Kind::kAdmit);
+    admission.Release(tenant, i, 1.0, 100);
+  }
+  EXPECT_EQ(admission.in_system(), 0);
+  EXPECT_EQ(admission.tracked_tenants(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,19 +495,13 @@ TEST_F(ServerTest, StatsReadsPagerCountersFromThePager) {
   // Every request has finished, so the owners still hold what STATS read.
   // The whole "engine" object is pinned: a dropped or stray key fails.
   const PageSourceStats pages = engine.table()->page_source()->stats();
-  const RunStats& run = engine.run_stats();
   EXPECT_GT(pages.misses, 0);
   EXPECT_GT(pages.evictions, 0);
   std::string engine_json =
       CounterJson("patterns_mined", static_cast<int64_t>(engine.patterns().size())) +
       CounterJson("page_hits", pages.hits) + CounterJson("page_misses", pages.misses) +
       CounterJson("page_evictions", pages.evictions) +
-      CounterJson("page_bytes_pinned", pages.bytes_pinned) +
-      CounterJson("maint_appends", run.maint_appends) +
-      CounterJson("maint_rows_appended", run.maint_rows_appended) +
-      CounterJson("maint_patterns_revalidated", run.maint_patterns_revalidated) +
-      CounterJson("maint_patterns_retained", run.maint_patterns_retained) +
-      CounterJson("maint_full_remines", run.maint_full_remines);
+      CounterJson("page_bytes_pinned", pages.bytes_pinned);
   engine_json.back() = '}';  // CounterJson ends each entry with a comma
   const std::string expected = "{\"engine\":{" + engine_json + ",\"scheduler\":";
   EXPECT_EQ(stats.payload_json.substr(0, expected.size()), expected) << stats.payload_json;
@@ -532,18 +544,18 @@ TEST_F(ServerTest, AppendGrowsTableAndRevalidatesPatterns) {
   Response ok = harness.Call(
       "[id=1] APPEND NewAuthor,P90001,2007,SIGKDD;NewAuthor,P90002,2008,ICDE");
   EXPECT_EQ(ok.outcome, Outcome::kOk) << ok.error;
-  EXPECT_NE(ok.payload_json.find("\"rows_appended\":2"), std::string::npos)
-      << ok.payload_json;
-  EXPECT_NE(ok.payload_json.find("\"maint_appends\":1"), std::string::npos)
-      << ok.payload_json;
   EXPECT_EQ(engine.table()->num_rows(), before + 2);
-  EXPECT_EQ(engine.run_stats().maint_appends, 1);
-  EXPECT_EQ(engine.run_stats().maint_full_remines, 0);
+  EXPECT_EQ(ok.payload_json, "{\"rows_appended\":2,\"total_rows\":" +
+                                 std::to_string(before + 2) + ",\"patterns\":" +
+                                 std::to_string(engine.patterns().size()) + "}");
 
-  // Reads after the append observe the grown relation and maintenance stats.
+  // Reads after the append observe the grown relation and its pattern set.
   Response stats = harness.Call("STATS");
   EXPECT_EQ(stats.outcome, Outcome::kOk);
-  EXPECT_NE(stats.payload_json.find("\"maint_appends\":1"), std::string::npos);
+  EXPECT_NE(stats.payload_json.find("\"patterns_mined\":" +
+                                    std::to_string(engine.patterns().size())),
+            std::string::npos)
+      << stats.payload_json;
   Response select = harness.Call("SELECT author, venue FROM pub");
   EXPECT_EQ(select.outcome, Outcome::kOk);
   EXPECT_EQ(harness.Call(PlantedExplainLine("[id=2]")).outcome, Outcome::kOk);
@@ -559,14 +571,18 @@ TEST_F(ServerTest, ExplainAfterTruncatedAppendAnswersOverTheGrownTable) {
   // Fills the engine's γ memo over the table as it is now.
   ASSERT_EQ(harness.Call(PlantedExplainLine("[id=1]")).outcome, Outcome::kOk);
 
-  // A cancelled maintenance run: the row lands, the patterns stay stale,
-  // and the outcome is truncated rather than ok.
+  // A cancelled re-mine: the row lands, the patterns stay stale, and the
+  // outcome is truncated rather than ok.
+  const std::string stale = SerializePatternSet(engine.patterns(), engine.schema());
   CancellationSource source;
   engine.mining_config().cancel_token = source.token();
   source.RequestCancel();
   Response truncated = harness.Call("[id=2] APPEND NewAuthor,P90001,2007,SIGKDD");
   EXPECT_EQ(truncated.outcome, Outcome::kTruncated) << truncated.error;
+  EXPECT_NE(truncated.payload_json.find("\"patterns_stale\":true"), std::string::npos)
+      << truncated.payload_json;
   EXPECT_EQ(engine.table()->num_rows(), before + 1);
+  EXPECT_EQ(SerializePatternSet(engine.patterns(), engine.schema()), stale);
 
   // A session over the pre-append memo would refuse the grown table; the
   // request's own session reads the engine's new memo.
@@ -598,7 +614,6 @@ TEST_F(ServerTest, MalformedAppendIsRejectedWithoutSideEffects) {
   Response bad = harness.Call("APPEND A,P90001,2007,SIGKDD;B,P90002,2008");
   EXPECT_EQ(bad.outcome, Outcome::kError);
   EXPECT_EQ(engine.table()->num_rows(), before);
-  EXPECT_EQ(engine.run_stats().maint_appends, 0);
 }
 
 TEST_F(ServerTest, ConcurrentAppendsAndReadsAllReachTerminalOutcomes) {
@@ -634,8 +649,6 @@ TEST_F(ServerTest, ConcurrentAppendsAndReadsAllReachTerminalOutcomes) {
     EXPECT_EQ(r.outcome, Outcome::kOk) << "id " << r.id << ": " << r.error;
   }
   EXPECT_EQ(engine.table()->num_rows(), before + appends);
-  EXPECT_EQ(engine.run_stats().maint_appends, appends);
-  EXPECT_EQ(engine.run_stats().maint_rows_appended, appends);
 }
 
 // ---------------------------------------------------------------------------
